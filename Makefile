@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke fuzz-smoke bench-serve
+.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke fuzz-smoke bench-serve wirebench-test
 
 all: verify
 
@@ -49,6 +49,13 @@ lint-audit:
 	$(GO) run ./cmd/wdmlint -audit -audit-max $(LINT_SUPPRESSIONS_MAX)
 
 verify: build vet test race-hot race
+
+# The wire benchmark (wirebench/) is a separate module that compiles
+# against internal/engine, internal/serve and internal/core, so
+# `go test ./...` at the root never builds it: vet and test it on its
+# own so an API change that breaks the benchmark fails here.
+wirebench-test:
+	cd wirebench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the committed engine benchmark record and gate the cache's
 # reason to exist: cached/uncached speedup >= 50x, hit rate >= 0.9.

@@ -48,6 +48,12 @@
 // are additionally retained in a separate slow log that fast traffic
 // cannot evict.
 //
+// explain and the trace on summaries are rendered from the same kind of
+// span tree: the query runs under a private tree that is recorded
+// whatever -recorder and -trace-sample say, and the reply reads the
+// search anatomy (pinned epoch, aux size, settled/relaxed, claim
+// attempts) back from its engine and core spans.
+//
 // A background sampler (interval -sample-interval, ring capacity
 // -history-size) snapshots the telemetry registry into a frame ring
 // and evaluates SLO health rules against it after every sample: the

@@ -2,7 +2,7 @@ package analysis
 
 // leasepair enforces the engine's ownership contract at its consumers:
 // a lease acquired through Engine.Allocate/RouteAndAllocate (and their
-// Traced/Spanned variants) or a circuit admitted through
+// Spanned variants) or a circuit admitted through
 // session.Manager.Admit must be released, stored, or returned — never
 // silently dropped. A dropped lease pins wavelength channels for the
 // life of the process, which in a benchmark or load generator skews
@@ -51,7 +51,6 @@ var engineAcquires = map[string]bool{
 	"Allocate":                true,
 	"AllocateSpanned":         true,
 	"RouteAndAllocate":        true,
-	"RouteAndAllocateTraced":  true,
 	"RouteAndAllocateSpanned": true,
 }
 

@@ -16,13 +16,15 @@ const (
 // are immutable) but any Allocate of its paths will conflict, so
 // holding one across an advance is almost always a bug.
 var advancingMethods = map[string]bool{
-	"Allocate":               true,
-	"Release":                true,
-	"RouteAndAllocate":       true,
-	"RouteAndAllocateTraced": true,
-	"FailLink":               true,
-	"RepairLink":             true,
-	"SetQueue":               true,
+	"Allocate":                true,
+	"AllocateSpanned":         true,
+	"Release":                 true,
+	"ReleaseSpanned":          true,
+	"RouteAndAllocate":        true,
+	"RouteAndAllocateSpanned": true,
+	"FailLink":                true,
+	"RepairLink":              true,
+	"SetQueue":                true,
 }
 
 // NewSnapshotEscape builds the snapshotescape analyzer.

@@ -34,7 +34,9 @@ const (
 )
 
 func spans(tr *obs.Tracer, k int) {
-	req := tr.Start(spanWork) // named constant: fine
+	req := tr.Start(spanWork)          // named constant: fine
+	_ = obs.NewReqTrace(spanWork)      // same constant, private tree: fine
+	_ = obs.NewReqTrace("fixtureRoot") // want `not lower_snake`
 	sp := req.Root().StartChild("fixture_step")
 	sp.StartChild(spanWork)               // same constant reused: fine
 	sp.StartChild("fixtureCamel")         // want `not lower_snake`

@@ -25,6 +25,18 @@ func useAfterAdvance(e *engine.Engine) {
 	_, _ = snap.Route(0, 1) // re-pinned: fine
 }
 
+func useAfterSpannedAdvance(e *engine.Engine) {
+	snap := e.Snapshot()
+	_ = e.ReleaseSpanned(7, nil)
+	_, _ = snap.Route(0, 1) // want `snapshot snap used after epoch-advancing call Engine\.ReleaseSpanned`
+	snap = e.Snapshot()
+	_ = e.AllocateSpanned(8, nil, nil)
+	_, _ = snap.RouteFrom(0) // want `snapshot snap used after epoch-advancing call Engine\.AllocateSpanned`
+	snap = e.Snapshot()
+	_, _ = e.RouteAndAllocateSpanned(9, 0, 1, nil)
+	_, _ = snap.Route(0, 1) // want `snapshot snap used after epoch-advancing call Engine\.RouteAndAllocateSpanned`
+}
+
 func siblingBranches(e *engine.Engine, cond bool) {
 	snap := e.Snapshot()
 	if cond {

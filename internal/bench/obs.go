@@ -29,12 +29,11 @@ import (
 //     auxiliary graph — the pre-telemetry behaviour, no counters, no
 //     histograms;
 //   - tracer off: engine.Route — the production path, which records
-//     latency histograms and outcome counters but no per-route trace;
-//   - tracer on: engine.TraceRoute — full anatomy recording (search
-//     counters, per-hop Eq. (1) breakdown, cache peek);
-//   - recorder on: engine.RouteSpanned under an active flight-recorder
+//     latency histograms and outcome counters but no span tree;
+//   - recorder on: Snapshot.RouteSpanned under an active flight-recorder
 //     trace — every request builds a span tree and is retained in the
-//     recorder ring, the always-on wdmserve configuration;
+//     recorder ring, the always-on wdmserve configuration (wdmserve's
+//     explain verb renders from the same span tree);
 //   - sampler on: engine.Route again, but with a background obs.Sampler
 //     snapshotting the registry into its history ring at a fast cadence
 //     — the continuous self-observation configuration.
@@ -52,14 +51,12 @@ type ObsBenchResult struct {
 
 	BaselineNsPerOp   int64 `json:"baseline_ns_per_op"`
 	TracerOffNsPerOp  int64 `json:"tracer_off_ns_per_op"`
-	TracerOnNsPerOp   int64 `json:"tracer_on_ns_per_op"`
 	RecorderOnNsPerOp int64 `json:"recorder_on_ns_per_op"`
 	SamplerOnNsPerOp  int64 `json:"sampler_on_ns_per_op"`
 
 	// Overheads are relative to baseline; the tracer-off figure is the
 	// always-on cost of metrics and must stay under a few percent.
 	TracerOffOverheadPct  float64 `json:"tracer_off_overhead_pct"`
-	TracerOnOverheadPct   float64 `json:"tracer_on_overhead_pct"`
 	RecorderOnOverheadPct float64 `json:"recorder_on_overhead_pct"`
 	// SamplerOverheadPct compares engine.Route with a fast background
 	// sampler against the same path sampler-off (tracer_off_ns_per_op):
@@ -90,7 +87,7 @@ type ObsBenchResult struct {
 const spanBenchRequest = "bench_request"
 
 // ObsReport measures the telemetry overhead benchmark on NSFNET and
-// returns the machine-readable result. All three variants route the
+// returns the machine-readable result. All variants route the
 // same request stream on the same pinned snapshot with the same
 // Dijkstra queue, so the deltas isolate instrumentation cost; each
 // variant keeps its best repetition (least scheduler noise).
@@ -164,25 +161,13 @@ func ObsReport(cfg Config) (*ObsBenchResult, error) {
 		return nil, err
 	}
 
-	tracerOn, err := bestRep(cfg.reps(), func() error {
-		for _, p := range pairs {
-			if _, _, err := eng.TraceRoute(p[0], p[1]); err != nil && !errors.Is(err, core.ErrNoRoute) {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	// Recorder on: the always-on wdmserve configuration — every request
 	// carries a span tree into the flight recorder ring.
 	recTracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	recorderOn, err := bestRep(cfg.reps(), func() error {
 		for _, p := range pairs {
 			req := recTracer.Start(spanBenchRequest)
-			_, err := eng.RouteSpanned(p[0], p[1], req.Root())
+			_, err := eng.Snapshot().RouteSpanned(p[0], p[1], req.Root())
 			recTracer.Finish(req)
 			if err != nil && !errors.Is(err, core.ErrNoRoute) {
 				return err
@@ -227,14 +212,14 @@ func ObsReport(cfg Config) (*ObsBenchResult, error) {
 	var allocErr error
 	allocsOff := testing.AllocsPerRun(200, func() {
 		req := offTracer.Start(spanBenchRequest)
-		if _, err := eng.RouteFromSpanned(src, req.Root()); err != nil {
+		if _, err := eng.Snapshot().RouteFromSpanned(src, req.Root()); err != nil {
 			allocErr = err
 		}
 		offTracer.Finish(req)
 	})
 	allocsOn := testing.AllocsPerRun(200, func() {
 		req := recTracer.Start(spanBenchRequest)
-		if _, err := eng.RouteFromSpanned(src, req.Root()); err != nil {
+		if _, err := eng.Snapshot().RouteFromSpanned(src, req.Root()); err != nil {
 			allocErr = err
 		}
 		recTracer.Finish(req)
@@ -269,7 +254,6 @@ func ObsReport(cfg Config) (*ObsBenchResult, error) {
 		Requests:           requests,
 		BaselineNsPerOp:    baseline.Nanoseconds() / int64(requests),
 		TracerOffNsPerOp:   tracerOff.Nanoseconds() / int64(requests),
-		TracerOnNsPerOp:    tracerOn.Nanoseconds() / int64(requests),
 		RecorderOnNsPerOp:  recorderOn.Nanoseconds() / int64(requests),
 		SamplerOnNsPerOp:   samplerOn.Nanoseconds() / int64(requests),
 		SpanAllocsOffPerOp: allocsOff,
@@ -282,7 +266,6 @@ func ObsReport(cfg Config) (*ObsBenchResult, error) {
 	}
 	if res.BaselineNsPerOp > 0 {
 		res.TracerOffOverheadPct = 100 * float64(res.TracerOffNsPerOp-res.BaselineNsPerOp) / float64(res.BaselineNsPerOp)
-		res.TracerOnOverheadPct = 100 * float64(res.TracerOnNsPerOp-res.BaselineNsPerOp) / float64(res.BaselineNsPerOp)
 		res.RecorderOnOverheadPct = 100 * float64(res.RecorderOnNsPerOp-res.BaselineNsPerOp) / float64(res.BaselineNsPerOp)
 	}
 	if res.TracerOffNsPerOp > 0 {
@@ -322,7 +305,7 @@ func (r *ObsBenchResult) WriteJSON(path string) error {
 }
 
 // RunObs benchmarks the telemetry layer: what the always-on metrics
-// cost a routing query, and what full tracing costs on top.
+// cost a routing query, and what span recording costs on top.
 func RunObs(w io.Writer, cfg Config) error {
 	r, err := ObsReport(cfg)
 	if err != nil {
@@ -330,18 +313,16 @@ func RunObs(w io.Writer, cfg Config) error {
 	}
 	t := &Table{
 		Title: "Obs — telemetry overhead on the routing hot path (NSFNET, k=8)",
-		Note: "baseline = core Aux.Route, no telemetry; tracer off = engine.Route (metrics only); tracer on = engine.TraceRoute;\n" +
-			"recorder on = engine.RouteSpanned under a flight-recorder trace (scripts/bench_obs.sh writes this as BENCH_obs.json)",
+		Note: "baseline = core Aux.Route, no telemetry; tracer off = engine.Route (metrics only);\n" +
+			"recorder on = Snapshot.RouteSpanned under a flight-recorder trace (scripts/bench_obs.sh writes this as BENCH_obs.json)",
 		Headers: []string{"metric", "value"},
 	}
 	t.AddRow("requests", r.Requests)
 	t.AddRow("baseline ns/op", r.BaselineNsPerOp)
 	t.AddRow("tracer off ns/op", r.TracerOffNsPerOp)
-	t.AddRow("tracer on ns/op", r.TracerOnNsPerOp)
 	t.AddRow("recorder on ns/op", r.RecorderOnNsPerOp)
 	t.AddRow("sampler on ns/op", r.SamplerOnNsPerOp)
 	t.AddRow("tracer off overhead", fmt.Sprintf("%+.2f%%", r.TracerOffOverheadPct))
-	t.AddRow("tracer on overhead", fmt.Sprintf("%+.2f%%", r.TracerOnOverheadPct))
 	t.AddRow("recorder on overhead", fmt.Sprintf("%+.2f%%", r.RecorderOnOverheadPct))
 	t.AddRow("sampler on overhead", fmt.Sprintf("%+.2f%%", r.SamplerOverheadPct))
 	t.AddRow("span allocs/op (recorder off)", r.SpanAllocsOffPerOp)

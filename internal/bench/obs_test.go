@@ -8,7 +8,7 @@ import (
 )
 
 // TestObsReportMeasures drives the telemetry benchmark at reduced scale
-// and checks it produces sane measurements: all three variants timed,
+// and checks it produces sane measurements: every variant timed,
 // latency quantiles populated and ordered. Overhead percentages are NOT
 // asserted here — at test scale they are noise; the committed
 // BENCH_obs.json records the full-scale figures.
@@ -20,8 +20,7 @@ func TestObsReportMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BaselineNsPerOp <= 0 || r.TracerOffNsPerOp <= 0 || r.TracerOnNsPerOp <= 0 ||
-		r.RecorderOnNsPerOp <= 0 || r.SamplerOnNsPerOp <= 0 {
+	if r.BaselineNsPerOp <= 0 || r.TracerOffNsPerOp <= 0 || r.RecorderOnNsPerOp <= 0 || r.SamplerOnNsPerOp <= 0 {
 		t.Fatalf("unmeasured variant: %+v", r)
 	}
 	// The zero-alloc contract of the disabled span path holds at any
@@ -53,9 +52,9 @@ func TestObsReportMeasures(t *testing.T) {
 func TestObsReportJSONRoundTrips(t *testing.T) {
 	r := &ObsBenchResult{
 		Topology: "nsfnet", Nodes: 14, Links: 42, K: 8, Requests: 2000,
-		BaselineNsPerOp: 5000, TracerOffNsPerOp: 5050, TracerOnNsPerOp: 5600,
+		BaselineNsPerOp: 5000, TracerOffNsPerOp: 5050,
 		RecorderOnNsPerOp: 5300, SamplerOnNsPerOp: 5080,
-		TracerOffOverheadPct: 1.0, TracerOnOverheadPct: 12.0,
+		TracerOffOverheadPct:  1.0,
 		RecorderOnOverheadPct: 6.0, SamplerOverheadPct: 0.6,
 		SpanAllocsOffPerOp: 0, SpanAllocsOnPerOp: 7,
 		SamplerAllocsPerOp: 0,
@@ -82,8 +81,8 @@ func TestObsReportJSONRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"baseline_ns_per_op", "tracer_off_ns_per_op", "tracer_on_ns_per_op",
-		"tracer_off_overhead_pct", "tracer_on_overhead_pct", "route_latency_p50_ns",
+		"baseline_ns_per_op", "tracer_off_ns_per_op",
+		"tracer_off_overhead_pct", "route_latency_p50_ns",
 		"recorder_on_ns_per_op", "recorder_on_overhead_pct",
 		"span_allocs_off_per_op", "span_allocs_on_per_op",
 		"sampler_on_ns_per_op", "sampler_overhead_pct", "sampler_allocs_per_op",

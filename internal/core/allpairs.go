@@ -79,15 +79,8 @@ func (a *Aux) RouteFrom(s int, opts *Options) (*SourceTree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: dijkstra: %w", err)
 	}
-	if tr := opts.trace(); tr != nil {
-		tr.Source = s
-		tr.AuxNodes = a.NumAuxNodes() + 1 // plus the virtual super source
-		tr.AuxArcs = a.g.NumArcs()
-		tr.Settled = tree.Settled
-		tr.Relaxed = tree.Relaxed
-	}
 	if sp != nil {
-		sp.SetInt(attrAuxNodes, int64(a.NumAuxNodes()+1))
+		sp.SetInt(attrAuxNodes, int64(a.NumAuxNodes()+1)) // plus the virtual super source
 		sp.SetInt(attrAuxArcs, int64(a.g.NumArcs()))
 		sp.SetInt(attrSettled, int64(tree.Settled))
 		sp.SetInt(attrRelaxed, int64(tree.Relaxed))

@@ -27,12 +27,12 @@ import (
 // reachable within the bound; RouteBounded with a generous bound matches
 // Route exactly.
 //
-// Options are honored like Route: Trace is filled with the search
-// anatomy and winning-path breakdown, Span opens a timed
-// core_bounded_search child. The layered DP has no priority queue, so
-// Options.Queue (and Directed) apply only when the bound provably cannot
-// bind — maxHops ≥ |V'|, where any optimal semilightpath fits — in which
-// case the query delegates to Route wholesale.
+// Options are honored like Route: Span opens a timed
+// core_bounded_search child carrying the search anatomy. The layered DP
+// has no priority queue, so Options.Queue (and Directed) apply only
+// when the bound provably cannot bind — maxHops ≥ |V'|, where any
+// optimal semilightpath fits — in which case the query delegates to
+// Route wholesale.
 func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 	if s < 0 || s >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: source %d", ErrNodeRange, s)
@@ -42,10 +42,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 	}
 	if maxHops < 0 {
 		return nil, fmt.Errorf("core: maxHops must be non-negative, got %d", maxHops)
-	}
-	tr := opts.trace()
-	if tr != nil {
-		tr.Source, tr.Dest = s, t
 	}
 	if s == t {
 		return &Result{Path: &wdm.Semilightpath{}, Source: s, Dest: t}, nil
@@ -146,10 +142,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		Settled:  settled,
 		Relaxed:  relaxed,
 	}
-	if tr != nil {
-		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
-		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed
-	}
 	if sp != nil {
 		sp.SetInt(attrAuxNodes, int64(stats.AuxNodes))
 		sp.SetInt(attrAuxArcs, int64(stats.AuxArcs))
@@ -168,9 +160,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		}
 	}
 	if bestX < 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
 		sp.SetBool(attrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d within %d hops", ErrNoRoute, s, t, maxHops)
 	}
@@ -196,9 +185,6 @@ func (a *Aux) RouteBounded(s, t, maxHops int, opts *Options) (*Result, error) {
 		hops[i], hops[j] = hops[j], hops[i]
 	}
 	path := &wdm.Semilightpath{Hops: hops}
-	if tr != nil {
-		a.fillPathTrace(tr, path, best)
-	}
 	sp.SetFloat(attrCost, best)
 	return &Result{
 		Path:   path,

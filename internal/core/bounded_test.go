@@ -128,11 +128,11 @@ func TestRouteBoundedMatchesRouteWhenLoose(t *testing.T) {
 }
 
 // TestRouteBoundedHonorsOptions is the regression test for the bug where
-// RouteBounded accepted *Options but discarded it entirely: no trace, no
-// span, no queue/directed handling. The DP must fill the trace with its
-// work counters and the winning-path breakdown, open a
-// core_bounded_search span carrying the max_hops attribute, and mark
-// blocked queries on both.
+// RouteBounded accepted *Options but discarded it entirely: no span, no
+// queue/directed handling. The DP must open a core_bounded_search span
+// carrying its work counters and the max_hops attribute, return a path
+// whose Eq. (1) breakdown reconciles with its cost, and mark blocked
+// queries on the span.
 func TestRouteBoundedHonorsOptions(t *testing.T) {
 	nw := detourNet(t)
 	a, err := NewAux(nw)
@@ -141,20 +141,17 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 	}
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	req := tracer.Start("request")
-	tr := &obs.RouteTrace{}
-	res, err := a.RouteBounded(0, 2, 2, &Options{Trace: tr, Span: req.Root()})
+	res, err := a.RouteBounded(0, 2, 2, &Options{Span: req.Root()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(req)
-	if tr.Source != 0 || tr.Dest != 2 {
-		t.Fatalf("trace endpoints = %d→%d, want 0→2", tr.Source, tr.Dest)
+	if res.Source != 0 || res.Dest != 2 {
+		t.Fatalf("result endpoints = %d→%d, want 0→2", res.Source, res.Dest)
 	}
-	if tr.Settled <= 0 || tr.Relaxed <= 0 || tr.AuxNodes <= 0 || tr.AuxArcs <= 0 {
-		t.Fatalf("trace counters unfilled: %+v", tr)
-	}
-	if tr.Cost != res.Cost || len(tr.Hops) != res.Path.Len() {
-		t.Fatalf("trace breakdown: cost %v hops %d, want %v / %d", tr.Cost, len(tr.Hops), res.Cost, res.Path.Len())
+	legs := res.Path.Breakdown(nw)
+	if len(legs) != res.Path.Len() || legs[len(legs)-1].Cumulative != res.Cost {
+		t.Fatalf("breakdown: %d legs ending at %v, want %d / %v", len(legs), legs[len(legs)-1].Cumulative, res.Path.Len(), res.Cost)
 	}
 	if res.Stats.Settled <= 0 || res.Stats.Relaxed <= 0 {
 		t.Fatalf("result stats unfilled: %+v", res.Stats)
@@ -163,6 +160,9 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 	if bs == nil {
 		t.Fatal("no core_bounded_search span recorded")
 	}
+	if st, blocked := ReadSearchSpan(bs); st != res.Stats || blocked {
+		t.Fatalf("span anatomy %+v blocked=%v, want %+v", st, blocked, res.Stats)
+	}
 	if attr, ok := bs.Attr("max_hops"); !ok || attr.Int != 2 {
 		t.Errorf("max_hops attr = %+v ok=%v, want 2", attr, ok)
 	}
@@ -170,22 +170,18 @@ func TestRouteBoundedHonorsOptions(t *testing.T) {
 		t.Errorf("cost attr = %+v, want %v", attr, res.Cost)
 	}
 
-	// Blocked query: trace and span both record it.
+	// Blocked query: the span records it.
 	req2 := tracer.Start("request")
-	tr2 := &obs.RouteTrace{}
-	if _, err := a.RouteBounded(0, 2, 0, &Options{Trace: tr2, Span: req2.Root()}); !errors.Is(err, ErrNoRoute) {
+	if _, err := a.RouteBounded(0, 2, 0, &Options{Span: req2.Root()}); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("zero hops: %v", err)
 	}
 	tracer.Finish(req2)
-	if !tr2.Blocked {
-		t.Error("blocked bounded query did not set Trace.Blocked")
-	}
 	bs2 := req2.Span("core_bounded_search")
 	if bs2 == nil {
 		t.Fatal("no span on blocked bounded query")
 	}
-	if attr, ok := bs2.Attr("blocked"); !ok || !attr.Bool {
-		t.Errorf("blocked attr = %+v ok=%v", attr, ok)
+	if _, blocked := ReadSearchSpan(bs2); !blocked {
+		t.Error("blocked bounded query did not set the blocked attr")
 	}
 }
 

@@ -28,15 +28,6 @@ type Options struct {
 	// declines the query, degrades DirectedALT to DirectedBidi.
 	Potential PotentialSource
 
-	// Trace, when non-nil, is filled in with the query's search anatomy:
-	// auxiliary graph size, Dijkstra work counters, the per-hop cost
-	// breakdown of the winning path and its conversion economics. The
-	// caller owns the record; Route only writes fields it knows about
-	// (internal/engine layers epoch/cache/retry context on top). Tracing
-	// costs one Breakdown pass over the result path — leave nil on hot
-	// paths that don't need it.
-	Trace *obs.RouteTrace
-
 	// Span, when non-nil, is the parent under which the query opens its
 	// own timed child span (core_search for Route, core_tree_search for
 	// RouteFrom) annotated with the search's work counters and per-λ
@@ -65,13 +56,6 @@ func (o *Options) potential() PotentialSource {
 		return nil
 	}
 	return o.Potential
-}
-
-func (o *Options) trace() *obs.RouteTrace {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
 }
 
 func (o *Options) span() *obs.Span {
@@ -120,15 +104,11 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 	if t < 0 || t >= a.nw.NumNodes() {
 		return nil, fmt.Errorf("%w: dest %d", ErrNodeRange, t)
 	}
-	tr := opts.trace()
-	if tr != nil {
-		tr.Source, tr.Dest = s, t
-	}
 	if s == t {
 		// The trivial semilightpath: no links, no conversions, cost 0.
 		return &Result{Path: &wdm.Semilightpath{}, Source: s, Dest: t}, nil
 	}
-	sp := opts.span().StartChild(spanSearch)
+	sp := opts.span().StartChild(SpanSearch)
 	defer sp.End()
 
 	// Borrow pooled per-query scratch: seed/goal backings plus the
@@ -143,9 +123,6 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		qs.seeds = append(qs.seeds, int(a.yStart[s])+yi)
 	}
 	if len(qs.seeds) == 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
 		sp.SetBool(attrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d (no outgoing channels at source)", ErrNoRoute, s, t)
 	}
@@ -157,9 +134,6 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		qs.goals = append(qs.goals, int(a.xStart[t])+xi)
 	}
 	if len(qs.goals) == 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
 		sp.SetBool(attrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d (no incoming channels at destination)", ErrNoRoute, s, t)
 	}
@@ -246,10 +220,6 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		Settled:  settled,
 		Relaxed:  relaxed,
 	}
-	if tr != nil {
-		tr.AuxNodes, tr.AuxArcs = stats.AuxNodes, stats.AuxArcs
-		tr.Settled, tr.Relaxed = stats.Settled, stats.Relaxed
-	}
 	if sp != nil {
 		sp.SetInt(attrAuxNodes, int64(stats.AuxNodes))
 		sp.SetInt(attrAuxArcs, int64(stats.AuxArcs))
@@ -259,9 +229,6 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 		sp.SetStr(attrReachedPerLambda, a.reachedPerLambda(fwdTree))
 	}
 	if bestNode < 0 {
-		if tr != nil {
-			tr.Blocked = true
-		}
 		sp.SetBool(attrBlocked, true)
 		return nil, fmt.Errorf("%w: from %d to %d", ErrNoRoute, s, t)
 	}
@@ -276,41 +243,26 @@ func (a *Aux) Route(s, t int, opts *Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	if tr != nil {
-		a.fillPathTrace(tr, path, bestDist)
-	}
 	sp.SetFloat(attrCost, bestDist)
 	return &Result{Path: path, Cost: bestDist, Source: s, Dest: t, Stats: stats}, nil
 }
 
-// fillPathTrace records the winning path's per-hop Eq. (1) breakdown
-// and conversion economics into tr.
-func (a *Aux) fillPathTrace(tr *obs.RouteTrace, path *wdm.Semilightpath, cost float64) {
-	tr.Cost = cost
-	legs := path.Breakdown(a.nw)
-	tr.Hops = make([]obs.TraceHop, len(legs))
-	for i, leg := range legs {
-		tr.Hops[i] = obs.TraceHop{
-			Link:       leg.Hop.Link,
-			From:       leg.From,
-			To:         leg.To,
-			Wavelength: int32(leg.Hop.Wavelength),
-			ConvCost:   leg.ConvCost,
-			LinkCost:   leg.LinkCost,
-			Cumulative: leg.Cumulative,
-		}
-	}
-	// Conversions available: at each intermediate node, the distinct
-	// different-wavelength switches the arrival wavelength could have
-	// made (gadget arcs out of its X-shore entry). A conversion is
-	// "taken" whenever the wavelength changes, even on a free converter.
+// PathConversions reports the conversion economics of path on this
+// graph: conversions taken (every wavelength change, even on a free
+// converter) and conversions available — at each intermediate node, the
+// distinct different-wavelength switches the arrival wavelength could
+// have made (gadget arcs out of its X-shore entry). Gadget arcs come
+// from the layout network, so every snapshot an engine publishes over
+// one installed network answers the same availability for a path.
+func (a *Aux) PathConversions(path *wdm.Semilightpath) (taken, available int) {
 	for i := 1; i < len(path.Hops); i++ {
-		if path.Hops[i].Wavelength != path.Hops[i-1].Wavelength {
-			tr.ConversionsTaken++
+		prev := path.Hops[i-1]
+		if path.Hops[i].Wavelength != prev.Wavelength {
+			taken++
 		}
-		node := a.nw.Link(path.Hops[i-1].Link).To
-		tr.ConversionsAvailable += a.conversionFanout(node, path.Hops[i-1].Wavelength)
+		available += a.conversionFanout(a.nw.Link(prev.Link).To, prev.Wavelength)
 	}
+	return taken, available
 }
 
 // conversionFanout counts the distinct wavelengths λq ≠ λ reachable by

@@ -6,13 +6,14 @@ import (
 	"strings"
 
 	"lightpath/internal/graph"
+	"lightpath/internal/obs"
 )
 
 // Span names and attribute keys for the core layer. Names are
 // compile-time constants so the metricname analyzer can verify them
 // (lower_snake, unique across the program).
 const (
-	spanSearch        = "core_search"         // one point-to-point query (Route)
+	SpanSearch        = "core_search"         // one point-to-point query (Route)
 	spanTreeSearch    = "core_tree_search"    // one single-source pass (RouteFrom)
 	spanBoundedSearch = "core_bounded_search" // one hop-bounded DP (RouteBounded)
 )
@@ -28,6 +29,20 @@ const (
 	attrMaxHops          = "max_hops"
 	attrReachedPerLambda = "reached_per_lambda"
 )
+
+// ReadSearchSpan reads the search anatomy Route recorded on a
+// core_search span: the work counters and whether the query blocked.
+// Counters an early-blocked query never set (no channels at an
+// endpoint) read as 0, and so does everything on a nil span.
+func ReadSearchSpan(sp *obs.Span) (st SearchStats, blocked bool) {
+	n := func(key string) int {
+		a, _ := sp.Attr(key)
+		return int(a.Int)
+	}
+	st = SearchStats{AuxNodes: n(attrAuxNodes), AuxArcs: n(attrAuxArcs), Settled: n(attrSettled), Relaxed: n(attrRelaxed)}
+	a, _ := sp.Attr(attrBlocked)
+	return st, a.Bool
+}
 
 // reachedPerLambda renders per-wavelength counts of reached X-shore
 // nodes as "λ:count" pairs sorted by wavelength (e.g. "0:12,2:3") —

@@ -451,12 +451,12 @@ func (e *Engine) allocate(owner int64, path *wdm.Semilightpath, parent *obs.Span
 // Release frees every channel owner holds, bumps the epoch and
 // publishes the new snapshot.
 func (e *Engine) Release(owner int64) error {
-	return e.release(owner, nil)
+	return e.ReleaseSpanned(owner, nil)
 }
 
-// release is Release with an optional parent span (an engine_release
-// child covers the teardown and the publish).
-func (e *Engine) release(owner int64, parent *obs.Span) error {
+// ReleaseSpanned is Release with the teardown (and the snapshot
+// publication it triggers) timed as an engine_release child of parent.
+func (e *Engine) ReleaseSpanned(owner int64, parent *obs.Span) error {
 	sp := parent.StartChild(spanRelease)
 	defer sp.End()
 	e.mu.Lock()
@@ -481,51 +481,7 @@ func (e *Engine) release(owner int64, parent *obs.Span) error {
 // from any attempt is returned as-is (the request is blocked). Every
 // retry round lands on the engine_alloc_retries_total counter.
 func (e *Engine) RouteAndAllocate(owner int64, s, t int) (*core.Result, error) {
-	res, _, err := e.routeAndAllocate(owner, s, t, false, nil)
-	return res, err
-}
-
-// RouteAndAllocateTraced is RouteAndAllocate with the final attempt's
-// full route trace (search anatomy, per-hop breakdown, epoch pinned and
-// the attempt count). The trace is non-nil whenever at least one route
-// attempt ran, including when the overall call fails.
-func (e *Engine) RouteAndAllocateTraced(owner int64, s, t int) (*core.Result, *obs.RouteTrace, error) {
-	return e.routeAndAllocate(owner, s, t, true, nil)
-}
-
-func (e *Engine) routeAndAllocate(owner int64, s, t int, traced bool, sp *obs.Span) (*core.Result, *obs.RouteTrace, error) {
-	const maxRetries = 8
-	var lastErr error
-	var tr *obs.RouteTrace
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			e.metrics.allocRetries.Inc()
-		}
-		var (
-			res *core.Result
-			err error
-		)
-		if traced {
-			res, tr, err = e.Snapshot().TraceRoute(s, t)
-			if tr != nil {
-				tr.Attempts = attempt + 1
-			}
-		} else {
-			res, err = e.Snapshot().RouteSpanned(s, t, sp)
-		}
-		if err != nil {
-			return nil, tr, err
-		}
-		err = e.allocate(owner, res.Path, sp, attempt)
-		if err == nil {
-			return res, tr, nil
-		}
-		if !errors.Is(err, ErrConflict) {
-			return nil, tr, err
-		}
-		lastErr = err
-	}
-	return nil, tr, fmt.Errorf("engine: route-and-allocate gave up after retries: %w", lastErr)
+	return e.RouteAndAllocateSpanned(owner, s, t, nil)
 }
 
 // FailLink takes a physical link out of service: its channels stop

@@ -132,6 +132,11 @@ func (m *Metrics) observeDirected(elapsed time.Duration, res *core.Result, mode 
 	}
 }
 
+// ObserveTraced counts n route queries answered with their anatomy
+// rendered (wdmserve's explain and trace on) on
+// engine_traced_routes_total.
+func (e *Engine) ObserveTraced(n int) { e.metrics.tracedRoutes.Add(uint64(n)) }
+
 // Metrics exposes the engine's telemetry registry: counters and
 // latency histograms written on the hot paths plus lazy gauges over the
 // engine's live state. Callers may register additional metrics of their

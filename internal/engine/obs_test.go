@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lightpath/internal/core"
+	"lightpath/internal/obs"
 	"lightpath/internal/topo"
 	"lightpath/internal/workload"
 )
@@ -29,12 +30,23 @@ func obsTestEngine(t *testing.T, seed int64) *Engine {
 	return e
 }
 
-// TestTraceBreakdownSumsToCost is the explain-correctness contract:
-// the per-hop link weights plus conversion costs recorded in a route
-// trace must sum to exactly the route's reported cost (Eq. 1), for
-// every pair the network can route.
+// tracedRoute runs one query on snap under a private span tree and
+// reads its anatomy back — the data wdmserve's explain renders.
+func tracedRoute(snap *Snapshot, s, d int) (*core.Result, RouteAnatomy, error) {
+	req := obs.NewReqTrace("request")
+	res, err := snap.RouteSpanned(s, d, req.Root())
+	return res, ReadRouteAnatomy(req), err
+}
+
+// TestTraceBreakdownSumsToCost is the explain-correctness contract at
+// the span-tree level: for every pair the network can route, the
+// per-hop link weights plus conversion costs of the path's Eq. (1)
+// breakdown on the pinned snapshot sum to the route's cost, the
+// anatomy read back from the span tree is filled in and pinned to the
+// engine's epoch, and blocked queries read back as blocked.
 func TestTraceBreakdownSumsToCost(t *testing.T) {
 	e := obsTestEngine(t, 9)
+	snap := e.Snapshot()
 	n := e.Base().NumNodes()
 	checked := 0
 	for s := 0; s < n; s++ {
@@ -42,42 +54,45 @@ func TestTraceBreakdownSumsToCost(t *testing.T) {
 			if s == d {
 				continue
 			}
-			res, tr, err := e.TraceRoute(s, d)
+			res, an, err := tracedRoute(snap, s, d)
+			if an.Epoch != e.Epoch() || an.Routes != 1 {
+				t.Fatalf("%d->%d: anatomy pinned epoch %d over %d routes, engine at %d", s, d, an.Epoch, an.Routes, e.Epoch())
+			}
 			if errors.Is(err, core.ErrNoRoute) {
-				if !tr.Blocked {
-					t.Fatalf("%d->%d: blocked route's trace not marked Blocked", s, d)
+				if !an.Blocked {
+					t.Fatalf("%d->%d: blocked route's anatomy not marked Blocked", s, d)
 				}
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%d->%d: %v", s, d, err)
 			}
-			sum := tr.LinkCostTotal() + tr.ConvCostTotal()
-			if math.Abs(sum-res.Cost) > 1e-9 {
+			legs := res.Path.Breakdown(snap.Network())
+			links, convs := 0.0, 0.0
+			for _, leg := range legs {
+				links += leg.LinkCost
+				convs += leg.ConvCost
+			}
+			if math.Abs(links+convs-res.Cost) > 1e-9 {
 				t.Fatalf("%d->%d: breakdown links %v + conversions %v = %v, route cost %v",
-					s, d, tr.LinkCostTotal(), tr.ConvCostTotal(), sum, res.Cost)
+					s, d, links, convs, links+convs, res.Cost)
 			}
-			if math.Abs(tr.Cost-res.Cost) > 0 {
-				t.Fatalf("%d->%d: trace cost %v != result cost %v", s, d, tr.Cost, res.Cost)
+			if len(legs) != res.Path.Len() {
+				t.Fatalf("%d->%d: breakdown has %d hops, path %d", s, d, len(legs), res.Path.Len())
 			}
-			if len(tr.Hops) != res.Path.Len() {
-				t.Fatalf("%d->%d: trace has %d hops, path %d", s, d, len(tr.Hops), res.Path.Len())
-			}
-			if last := tr.Hops[len(tr.Hops)-1]; math.Abs(last.Cumulative-res.Cost) > 1e-9 {
+			if last := legs[len(legs)-1]; math.Abs(last.Cumulative-res.Cost) > 1e-9 {
 				t.Fatalf("%d->%d: last cumulative %v != cost %v", s, d, last.Cumulative, res.Cost)
 			}
-			if got := len(res.Path.Conversions(e.Base())); got != tr.ConversionsTaken {
-				t.Fatalf("%d->%d: trace counts %d conversions, path has %d", s, d, tr.ConversionsTaken, got)
+			taken, avail := snap.Aux().PathConversions(res.Path)
+			if got := len(res.Path.Conversions(e.Base())); got != taken {
+				t.Fatalf("%d->%d: %d conversions taken, path has %d", s, d, taken, got)
 			}
-			if tr.ConversionsAvailable < tr.ConversionsTaken {
-				t.Fatalf("%d->%d: %d conversions taken but only %d available",
-					s, d, tr.ConversionsTaken, tr.ConversionsAvailable)
+			if avail < taken {
+				t.Fatalf("%d->%d: %d conversions taken but only %d available", s, d, taken, avail)
 			}
-			if tr.Settled <= 0 || tr.Relaxed <= 0 || tr.AuxNodes <= 0 || tr.AuxArcs <= 0 {
-				t.Fatalf("%d->%d: search anatomy not recorded: %+v", s, d, tr)
-			}
-			if tr.Epoch != e.Epoch() {
-				t.Fatalf("%d->%d: trace pinned epoch %d, engine at %d", s, d, tr.Epoch, e.Epoch())
+			if an.Blocked || an.Search != res.Stats || an.Search.Settled <= 0 || an.Search.Relaxed <= 0 ||
+				an.Search.AuxNodes <= 0 || an.Search.AuxArcs <= 0 {
+				t.Fatalf("%d->%d: search anatomy %+v, result stats %+v", s, d, an, res.Stats)
 			}
 			checked++
 		}
@@ -87,32 +102,44 @@ func TestTraceBreakdownSumsToCost(t *testing.T) {
 	}
 }
 
-// TestTraceCacheHitFlag: the trace's CacheHit must reflect SourceTree
-// residency for (source, epoch) without perturbing the cache counters.
+// TestTraceCacheHitFlag: TreeCached must reflect SourceTree residency
+// for (source, epoch) without perturbing the cache counters.
 func TestTraceCacheHitFlag(t *testing.T) {
 	e := obsTestEngine(t, 10)
-	_, tr, err := e.TraceRoute(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.CacheHit {
+	if e.TreeCached(0, e.Epoch()) {
 		t.Fatal("cold cache reported as hit")
 	}
 	before := e.CacheStats()
 	if _, err := e.RouteFrom(0); err != nil { // populates (0, epoch)
 		t.Fatal(err)
 	}
-	_, tr, err = e.TraceRoute(0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.CacheHit {
+	if !e.TreeCached(0, e.Epoch()) {
 		t.Fatal("resident SourceTree not reported as cache hit")
+	}
+	if e.TreeCached(0, e.Epoch()+1) {
+		t.Fatal("tree of another epoch reported as cache hit")
 	}
 	after := e.CacheStats()
 	if after.Lookups != before.Lookups+1 {
-		t.Fatalf("tracing changed lookup count beyond the one RouteFrom: %d -> %d",
+		t.Fatalf("peeking changed lookup count beyond the one RouteFrom: %d -> %d",
 			before.Lookups, after.Lookups)
+	}
+}
+
+// TestReadRouteAnatomyWithoutSearch: queries that never reach a core
+// search — the trivial s == s path and a node out of range — read back
+// with zero search counters, not blocked, still pinned to the epoch.
+func TestReadRouteAnatomyWithoutSearch(t *testing.T) {
+	e := obsTestEngine(t, 14)
+	snap := e.Snapshot()
+	for _, q := range [][2]int{{3, 3}, {0, 99}} {
+		_, an, _ := tracedRoute(snap, q[0], q[1])
+		if an.Routes != 1 || an.Epoch != snap.Epoch() || an.Blocked || an.Search != (core.SearchStats{}) {
+			t.Fatalf("%d->%d: anatomy %+v, want one unblocked route with zero search", q[0], q[1], an)
+		}
+	}
+	if an := ReadRouteAnatomy(obs.NewReqTrace("request")); an != (RouteAnatomy{}) {
+		t.Fatalf("empty tree reads as %+v", an)
 	}
 }
 
@@ -217,16 +244,16 @@ func TestPerWavelengthUtilizationGauges(t *testing.T) {
 	}
 }
 
-// TestRouteAndAllocateTracedRecordsAttempts: a clean first-try
-// allocation reports exactly one attempt and no retry counter motion.
-func TestRouteAndAllocateTracedRecordsAttempts(t *testing.T) {
+// TestRouteAndAllocateSpannedRecordsAttempts: a clean first-try
+// allocation records exactly one attempt and no retry counter motion.
+func TestRouteAndAllocateSpannedRecordsAttempts(t *testing.T) {
 	e := obsTestEngine(t, 13)
-	_, tr, err := e.RouteAndAllocateTraced(1, 0, 9)
-	if err != nil {
+	req := obs.NewReqTrace("request")
+	if _, err := e.RouteAndAllocateSpanned(1, 0, 9, req.Root()); err != nil {
 		t.Fatal(err)
 	}
-	if tr == nil || tr.Attempts != 1 {
-		t.Fatalf("trace attempts = %+v, want 1", tr)
+	if an := ReadRouteAnatomy(req); an.Attempts != 1 || an.Routes != 1 || an.Epoch != 0 {
+		t.Fatalf("anatomy = %+v, want 1 attempt routed at epoch 0", an)
 	}
 	if got := e.Metrics().Snapshot()["engine_alloc_retries_total"].(uint64); got != 0 {
 		t.Fatalf("engine_alloc_retries_total = %d on a conflict-free allocate", got)

@@ -48,17 +48,19 @@ func (s *Snapshot) Network() *wdm.Network { return s.net }
 func (s *Snapshot) Aux() *core.Aux { return s.aux }
 
 // opts returns the core options for this snapshot's configured queue.
-// The value is shared and must be treated as read-only; queries that
-// need a Trace build their own Options (see TraceRoute).
+// The value is shared and must be treated as read-only.
 func (s *Snapshot) opts() *core.Options { return &s.ropts }
 
-// queryOptions returns options equal to opts() but carrying the given
-// trace and span hooks. The copy keeps the snapshot's shared ropts
-// read-only while preserving queue kind, directed mode and the ALT
-// potential source for instrumented queries.
-func (s *Snapshot) queryOptions(tr *obs.RouteTrace, sp *obs.Span) *core.Options {
+// queryOptions returns opts() for a nil span, and otherwise a copy
+// carrying sp so core opens its search span under it. The copy keeps
+// the shared ropts read-only while preserving queue kind, directed mode
+// and the ALT potential source; it is made only on the spanned path, so
+// untraced queries stay allocation-free.
+func (s *Snapshot) queryOptions(sp *obs.Span) *core.Options {
+	if sp == nil {
+		return &s.ropts
+	}
 	o := s.ropts
-	o.Trace = tr
 	o.Span = sp
 	return &o
 }
@@ -68,11 +70,22 @@ func (s *Snapshot) queryOptions(tr *obs.RouteTrace, sp *obs.Span) *core.Options 
 // land on the engine's route metrics; goal-directed queries additionally
 // feed the directed latency histogram and settled-node counter.
 func (s *Snapshot) Route(src, dst int) (*core.Result, error) {
+	return s.RouteSpanned(src, dst, nil)
+}
+
+// RouteSpanned is Route with the query timed as an engine_route child
+// of parent, annotated with the pinned epoch, and a core_search
+// grandchild carrying the Dijkstra counters. A nil parent records
+// nothing.
+func (s *Snapshot) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, error) {
+	sp := parent.StartChild(spanRoute)
+	sp.SetInt(attrEpoch, int64(s.epoch))
 	start := time.Now()
-	res, err := s.aux.Route(src, dst, s.opts())
+	res, err := s.aux.Route(src, dst, s.queryOptions(sp))
 	elapsed := time.Since(start)
 	s.eng.metrics.observeRoute(elapsed, err)
 	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
+	sp.End()
 	return res, err
 }
 
@@ -81,23 +94,40 @@ func (s *Snapshot) Route(src, dst int) (*core.Result, error) {
 // epoch. Trees are cached per (source, epoch): a hit costs one map
 // lookup instead of a Dijkstra pass over the auxiliary graph.
 func (s *Snapshot) RouteFrom(src int) (*core.SourceTree, error) {
+	return s.RouteFromSpanned(src, nil)
+}
+
+// RouteFromSpanned is RouteFrom with the query timed as an
+// engine_routefrom child of parent. The SourceTree cache probe becomes
+// an engine_cache_lookup grandchild annotated hit=true/false; a miss
+// additionally carries the core_tree_search span of the Dijkstra pass
+// that fills the cache. A nil parent records nothing.
+func (s *Snapshot) RouteFromSpanned(src int, parent *obs.Span) (*core.SourceTree, error) {
+	sp := parent.StartChild(spanRouteFrom)
+	defer sp.End()
+	sp.SetInt(attrEpoch, int64(s.epoch))
 	start := time.Now()
 	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
 	cache := s.eng.cache
 	if cache == nil {
-		return s.aux.RouteFrom(src, s.opts())
+		return s.aux.RouteFrom(src, s.queryOptions(sp))
 	}
-	if st, ok := cache.get(treeKey{source: src, epoch: s.epoch}); ok {
+	key := treeKey{source: src, epoch: s.epoch}
+	look := sp.StartChild(spanCacheLookup)
+	st, ok := cache.get(key)
+	look.SetBool(attrHit, ok)
+	look.End()
+	if ok {
 		return st, nil
 	}
 	// Compute outside the cache lock; concurrent misses on the same key
 	// may duplicate the work, and the last insert wins — both trees are
 	// equally correct, so this is only a transient inefficiency.
-	st, err := s.aux.RouteFrom(src, s.opts())
+	st, err := s.aux.RouteFrom(src, s.queryOptions(sp))
 	if err != nil {
 		return nil, err
 	}
-	cache.put(treeKey{source: src, epoch: s.epoch}, st)
+	cache.put(key, st)
 	return st, nil
 }
 
@@ -137,7 +167,8 @@ func (s *Snapshot) RouteProtected(src, dst int, po *core.ProtectOptions) (*core.
 
 // Engine-level query forwarders: each pins the instantaneous current
 // snapshot for exactly one call. Use Snapshot() directly when several
-// queries must observe the same epoch.
+// queries must observe the same epoch, or to trace a query with the
+// *Spanned methods.
 
 // Route answers one optimal-semilightpath query on the current snapshot.
 func (e *Engine) Route(src, dst int) (*core.Result, error) {
@@ -159,6 +190,14 @@ func (e *Engine) KShortest(src, dst, count int) ([]*core.Result, error) {
 // snapshot.
 func (e *Engine) RouteProtected(src, dst int, po *core.ProtectOptions) (*core.ProtectedPair, error) {
 	return e.Snapshot().RouteProtected(src, dst, po)
+}
+
+// TreeCached reports whether the SourceTree for (src, epoch) is resident
+// in the cache, without counting a lookup or touching LRU order, so a
+// caller can label a query cache-hit/miss without perturbing the
+// statistics it reports on. Always false with caching disabled.
+func (e *Engine) TreeCached(src int, epoch uint64) bool {
+	return e.cache != nil && e.cache.peek(treeKey{source: src, epoch: epoch})
 }
 
 // String identifies the snapshot for logs.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"lightpath/internal/core"
@@ -9,11 +11,11 @@ import (
 )
 
 // Span names and attribute keys for the engine layer (compile-time
-// constants, verified by the metricname analyzer). The *Spanned query
-// variants thread a request span through the engine into core; a nil
-// parent span — the disabled-recorder default — makes every variant
-// delegate to its unspanned twin, preserving the allocation-free hot
-// path (pinned by TestCachedRouteFromSpannedAllocationFree).
+// constants, verified by the metricname analyzer). Each operation has
+// one body, its *Spanned method, which threads a request span through
+// the engine into core; the unspanned method passes a nil parent — the
+// disabled-recorder default — which records nothing and keeps the hot
+// path allocation-free (pinned by the AllocsPerRun tests).
 const (
 	spanRoute       = "engine_route"
 	spanRouteFrom   = "engine_routefrom"
@@ -31,86 +33,83 @@ const (
 	attrMode     = "mode"
 )
 
-// RouteSpanned is Snapshot.Route with the query timed as an
-// engine_route child of parent (and a core_search grandchild carrying
-// the Dijkstra counters). A nil parent is exactly Route.
-func (s *Snapshot) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, error) {
-	if parent == nil {
-		return s.Route(src, dst)
-	}
-	sp := parent.StartChild(spanRoute)
-	defer sp.End()
-	sp.SetInt(attrEpoch, int64(s.epoch))
-	start := time.Now()
-	res, err := s.aux.Route(src, dst, s.queryOptions(nil, sp))
-	elapsed := time.Since(start)
-	s.eng.metrics.observeRoute(elapsed, err)
-	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
-	return res, err
-}
-
-// RouteFromSpanned is Snapshot.RouteFrom with the query timed as an
-// engine_routefrom child of parent. The SourceTree cache probe becomes
-// an engine_cache_lookup grandchild annotated hit=true/false; a miss
-// additionally carries the core_tree_search span of the Dijkstra pass
-// that fills the cache. A nil parent is exactly RouteFrom.
-func (s *Snapshot) RouteFromSpanned(src int, parent *obs.Span) (*core.SourceTree, error) {
-	if parent == nil {
-		return s.RouteFrom(src)
-	}
-	sp := parent.StartChild(spanRouteFrom)
-	defer sp.End()
-	sp.SetInt(attrEpoch, int64(s.epoch))
-	start := time.Now()
-	defer func() { s.eng.metrics.routeFromLatency.ObserveDuration(time.Since(start)) }()
-	cache := s.eng.cache
-	if cache == nil {
-		return s.aux.RouteFrom(src, s.queryOptions(nil, sp))
-	}
-	look := sp.StartChild(spanCacheLookup)
-	st, ok := cache.get(treeKey{source: src, epoch: s.epoch})
-	look.SetBool(attrHit, ok)
-	look.End()
-	if ok {
-		return st, nil
-	}
-	st, err := s.aux.RouteFrom(src, s.queryOptions(nil, sp))
-	if err != nil {
-		return nil, err
-	}
-	cache.put(treeKey{source: src, epoch: s.epoch}, st)
-	return st, nil
-}
-
-// RouteFromSpanned answers one spanned single-source query on the
-// current snapshot, through the SourceTree cache.
-func (e *Engine) RouteFromSpanned(src int, parent *obs.Span) (*core.SourceTree, error) {
-	return e.Snapshot().RouteFromSpanned(src, parent)
-}
-
-// RouteSpanned answers one spanned point-to-point query on the current
-// snapshot.
-func (e *Engine) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, error) {
-	return e.Snapshot().RouteSpanned(src, dst, parent)
-}
-
 // AllocateSpanned is Allocate with the claim (and the snapshot
 // publication it triggers) timed as an engine_allocate child of parent.
 func (e *Engine) AllocateSpanned(owner int64, path *wdm.Semilightpath, parent *obs.Span) error {
 	return e.allocate(owner, path, parent, -1)
 }
 
-// ReleaseSpanned is Release with the teardown timed as an
-// engine_release child of parent.
-func (e *Engine) ReleaseSpanned(owner int64, parent *obs.Span) error {
-	return e.release(owner, parent)
-}
-
 // RouteAndAllocateSpanned is RouteAndAllocate with every attempt of the
 // route→claim retry loop recorded under parent: one engine_route and
 // one engine_allocate child per attempt (the allocate span carries the
-// attempt ordinal, and conflict=true when the claim lost the race).
+// attempt ordinal, and conflict=true when the claim lost the race). A
+// nil parent records nothing.
 func (e *Engine) RouteAndAllocateSpanned(owner int64, s, t int, parent *obs.Span) (*core.Result, error) {
-	res, _, err := e.routeAndAllocate(owner, s, t, false, parent)
-	return res, err
+	const maxRetries = 8
+	var lastErr error
+	for attempt := 0; attempt <= maxRetries; attempt++ {
+		if attempt > 0 {
+			e.metrics.allocRetries.Inc()
+		}
+		res, err := e.Snapshot().RouteSpanned(s, t, parent)
+		if err != nil {
+			return nil, err
+		}
+		err = e.allocate(owner, res.Path, parent, attempt)
+		if err == nil {
+			return res, nil
+		}
+		if !errors.Is(err, ErrConflict) {
+			return nil, err
+		}
+		lastErr = err
+	}
+	return nil, fmt.Errorf("engine: route-and-allocate gave up after retries: %w", lastErr)
+}
+
+// RouteAnatomy is what a span tree records about the point-to-point
+// route queries run under it: the last query's pinned epoch, duration
+// and core_search anatomy, plus how many route and claim attempts ran.
+type RouteAnatomy struct {
+	Epoch    uint64
+	Elapsed  time.Duration // the last engine_route span's extent
+	Search   core.SearchStats
+	Blocked  bool
+	Routes   int // engine_route spans: one per route attempt
+	Attempts int // engine_allocate spans: one per claim attempt
+}
+
+// ReadRouteAnatomy reads the route anatomy back out of req, the tree a
+// caller ran RouteSpanned or RouteAndAllocateSpanned under (wdmserve's
+// explain and trace on render from it). A query that never reached a
+// core search (a trivial s == t path, a node out of range) reads with a
+// zero Search.
+func ReadRouteAnatomy(req *obs.ReqTrace) RouteAnatomy {
+	var a RouteAnatomy
+	spans := req.Spans()
+	last := -1
+	for i := range spans {
+		switch spans[i].Name {
+		case spanRoute:
+			a.Routes++
+			last = i
+		case spanAllocate:
+			a.Attempts++
+		}
+	}
+	if last < 0 {
+		return a
+	}
+	route := &spans[last]
+	a.Elapsed = route.Duration()
+	if ep, ok := route.Attr(attrEpoch); ok {
+		a.Epoch = uint64(ep.Int)
+	}
+	for i := last + 1; i < len(spans); i++ {
+		if spans[i].Parent == int32(last) && spans[i].Name == core.SpanSearch {
+			a.Search, a.Blocked = core.ReadSearchSpan(&spans[i])
+			break
+		}
+	}
+	return a
 }

@@ -107,7 +107,7 @@ func TestRouteFromSpannedCacheLookupSpans(t *testing.T) {
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 
 	cold := tracer.Start("request")
-	if _, err := e.RouteFromSpanned(3, cold.Root()); err != nil {
+	if _, err := e.Snapshot().RouteFromSpanned(3, cold.Root()); err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(cold)
@@ -123,7 +123,7 @@ func TestRouteFromSpannedCacheLookupSpans(t *testing.T) {
 	}
 
 	warm := tracer.Start("request")
-	if _, err := e.RouteFromSpanned(3, warm.Root()); err != nil {
+	if _, err := e.Snapshot().RouteFromSpanned(3, warm.Root()); err != nil {
 		t.Fatal(err)
 	}
 	tracer.Finish(warm)
@@ -174,14 +174,14 @@ func TestRouteAndAllocateSpannedPublish(t *testing.T) {
 	}
 }
 
-// TestSpannedVariantsNilParent: every spanned variant with a nil parent
-// behaves exactly like its unspanned twin.
+// TestSpannedVariantsNilParent: every spanned method accepts a nil
+// parent, which is what its unspanned form passes.
 func TestSpannedVariantsNilParent(t *testing.T) {
 	e := spanTestEngine(t)
-	if _, err := e.RouteSpanned(0, 7, nil); err != nil {
+	if _, err := e.Snapshot().RouteSpanned(0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RouteFromSpanned(0, nil); err != nil {
+	if _, err := e.Snapshot().RouteFromSpanned(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	owner := e.ReserveOwner()

@@ -1,8 +1,8 @@
 // Package obs is the repository's telemetry substrate: lock-free
 // counters, gauges and fixed-bucket latency histograms behind a named
-// Registry that renders to JSON and expvar, plus the RouteTrace record
-// the routing layers fill in when a caller asks *why* a query produced
-// the answer it did.
+// Registry that renders to JSON and expvar, plus the request span trees
+// (span.go) the routing layers record into — the one trace model, from
+// which the flight recorder and wdmserve's explain verb both read.
 //
 // The package deliberately depends on nothing but the standard library
 // and knows nothing about WDM networks — internal/core and

@@ -384,7 +384,21 @@ func (t *Tracer) Start(name string) *ReqTrace {
 	if n := t.sample.Load(); n > 1 && id%uint64(n) != 0 {
 		return nil
 	}
-	r := &ReqTrace{ID: id, Begin: time.Now(), spans: make([]Span, 1, t.maxSpans)}
+	return newReqTrace(id, name, t.maxSpans)
+}
+
+// NewReqTrace starts a span tree outside any Tracer: it is recorded
+// whether or not a recorder is on or would have sampled the request,
+// and no ring ever retains it. A caller that renders a reply from the
+// spans of its own query (wdmserve's explain) runs the query under its
+// root and reads the tree back. The trace has ID 0 and room for
+// DefaultMaxSpans spans.
+func NewReqTrace(name string) *ReqTrace {
+	return newReqTrace(0, name, DefaultMaxSpans)
+}
+
+func newReqTrace(id uint64, name string, maxSpans int) *ReqTrace {
+	r := &ReqTrace{ID: id, Begin: time.Now(), spans: make([]Span, 1, maxSpans)}
 	r.spans[0] = Span{Name: name, Parent: -1, req: r, idx: 0}
 	return r
 }

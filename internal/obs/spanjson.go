@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -56,17 +57,17 @@ func (r *ReqTrace) MarshalJSON() ([]byte, error) {
 	}
 	for i := range r.spans {
 		s := &r.spans[i]
-		ws := wireSpan{Name: s.Name, Parent: s.Parent, StartNs: s.StartNs, EndNs: s.EndNs}
+		ws := wireSpan{Name: validUTF8(s.Name), Parent: s.Parent, StartNs: s.StartNs, EndNs: s.EndNs}
 		if len(s.Attrs) > 0 {
 			ws.Attrs = make([]wireAttr, len(s.Attrs))
 			for j, a := range s.Attrs {
-				wa := wireAttr{K: a.Key}
+				wa := wireAttr{K: validUTF8(a.Key)}
 				switch a.Kind {
 				case AttrInt:
 					v := a.Int
 					wa.I = &v
 				case AttrStr:
-					v := a.Str
+					v := validUTF8(a.Str)
 					wa.S = &v
 				case AttrBool:
 					v := a.Bool
@@ -89,6 +90,12 @@ func (r *ReqTrace) MarshalJSON() ([]byte, error) {
 	}
 	return json.Marshal(w)
 }
+
+// validUTF8 replaces invalid UTF-8 with U+FFFD before encoding/json
+// sees the string: the encoder escapes an invalid byte as \ufffd but
+// writes a real U+FFFD raw, so without this a decoded trace would
+// re-encode to different bytes.
+func validUTF8(s string) string { return strings.ToValidUTF8(s, "\uFFFD") }
 
 // EncodeReqTrace writes the trace as one compact JSON object plus a
 // trailing newline — the `tracejson` verb's whole answer, and one

@@ -206,7 +206,9 @@ func TestReplExecOwnsTraceLifecycle(t *testing.T) {
 	eng := newEngine(t, "-topo", "nsfnet", "-k", "8", "-seed", "7")
 	tracer := obs.NewTracer(&obs.TracerOptions{SlowThreshold: -1})
 	var sb strings.Builder
-	sess := NewSession(eng, &sb, &SessionOptions{Tracer: tracer})
+	sess := NewSession(eng, &sb, &SessionOptions{
+		Tracer: tracer,
+	})
 	if _, err := sess.Exec("route 0 7"); err != nil {
 		t.Fatal(err)
 	}

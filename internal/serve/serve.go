@@ -167,18 +167,9 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			return false, err
 		}
 		if s.tracing {
-			res, tr, err := s.eng.TraceRoute(ints[0], ints[1])
-			if err != nil {
-				if tr != nil {
-					fmt.Fprintf(s.w, "  %s\n", tr)
-				}
-				return false, err
-			}
-			s.printResult(res)
-			fmt.Fprintf(s.w, "  %s\n", tr)
-			return false, nil
+			return false, s.traceRoute(ints[0], ints[1])
 		}
-		res, err := s.eng.RouteSpanned(ints[0], ints[1], sp)
+		res, err := s.eng.Snapshot().RouteSpanned(ints[0], ints[1], sp)
 		if err != nil {
 			return false, err
 		}
@@ -187,20 +178,12 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 		if err := argc(2); err != nil {
 			return false, err
 		}
-		res, tr, err := s.eng.TraceRoute(ints[0], ints[1])
-		if err != nil {
-			if tr != nil {
-				fmt.Fprintf(s.w, "explain %d -> %d: blocked after settling %d of %d aux nodes\n",
-					ints[0], ints[1], tr.Settled, tr.AuxNodes)
-			}
-			return false, err
-		}
-		s.printExplain(res, tr)
+		return false, s.explain(ints[0], ints[1])
 	case "routefrom":
 		if err := argc(1); err != nil {
 			return false, err
 		}
-		st, err := s.eng.RouteFromSpanned(ints[0], sp)
+		st, err := s.eng.Snapshot().RouteFromSpanned(ints[0], sp)
 		if err != nil {
 			return false, err
 		}
@@ -259,23 +242,26 @@ func (s *Session) exec(cmd string, rest []string, sp *obs.Span) (bool, error) {
 			return false, err
 		}
 		lease := s.eng.ReserveOwner()
-		var (
-			res *core.Result
-			tr  *obs.RouteTrace
-			err error
-		)
+		// trace on runs the claim under a private span tree, as explain
+		// does, and renders its summary from that tree.
+		parent := sp
+		var traced *obs.ReqTrace
 		if s.tracing {
-			res, tr, err = s.eng.RouteAndAllocateTraced(lease, ints[0], ints[1])
-		} else {
-			res, err = s.eng.RouteAndAllocateSpanned(lease, ints[0], ints[1], sp)
+			traced = obs.NewReqTrace(spanRequest)
+			parent = traced.Root()
 		}
+		res, err := s.eng.RouteAndAllocateSpanned(lease, ints[0], ints[1], parent)
+		an := s.readTraced(ints[0], traced)
 		if err != nil {
 			return false, err
 		}
 		fmt.Fprintf(s.w, "lease %d (epoch %d): ", lease, s.eng.Epoch())
 		s.printResult(res)
-		if tr != nil {
-			fmt.Fprintf(s.w, "  %s\n", tr)
+		if traced != nil {
+			// Gadget arcs are fixed by the installed network, so the
+			// current snapshot counts the conversions available to the
+			// path exactly as the one it was routed on did.
+			s.printTraceSummary(ints[0], ints[1], res, s.eng.Snapshot().Aux(), an)
 		}
 	case "release":
 		if err := argc(1); err != nil {
@@ -425,31 +411,6 @@ func (s *Session) execTrace(args []string) error {
 	default:
 		return fmt.Errorf("trace: want on|off, got %q", strings.Join(args, " "))
 	}
-}
-
-// printExplain renders the per-hop Eq. (1) cost anatomy of a traced
-// route: which junction paid which conversion, what each link
-// traversal cost, and the totals that reconcile to the route cost.
-func (s *Session) printExplain(res *core.Result, tr *obs.RouteTrace) {
-	cacheState := "cache miss"
-	if tr.CacheHit {
-		cacheState = "cache hit"
-	}
-	fmt.Fprintf(s.w, "explain %d -> %d (epoch %d, %s, %s)\n",
-		tr.Source, tr.Dest, tr.Epoch, cacheState, tr.Elapsed)
-	if len(tr.Hops) == 0 {
-		fmt.Fprintln(s.w, "  trivial path (source == destination)")
-		return
-	}
-	for i, h := range tr.Hops {
-		fmt.Fprintf(s.w, "  hop %d: %d -[λ%d]-> %d  conv %g + link %g  (cum %g)\n",
-			i+1, h.From, h.Wavelength+1, h.To, h.ConvCost, h.LinkCost, h.Cumulative)
-	}
-	fmt.Fprintf(s.w, "  totals: links %g + conversions %g = %g\n",
-		tr.LinkCostTotal(), tr.ConvCostTotal(), tr.LinkCostTotal()+tr.ConvCostTotal())
-	fmt.Fprintf(s.w, "  cost %g  %s\n", res.Cost, res.Path.String(s.eng.Base()))
-	fmt.Fprintf(s.w, "  search: aux %d nodes / %d arcs, settled %d, relaxed %d, conversions %d/%d taken/available\n",
-		tr.AuxNodes, tr.AuxArcs, tr.Settled, tr.Relaxed, tr.ConversionsTaken, tr.ConversionsAvailable)
 }
 
 // printTraceLine renders one flight-recorder entry as a summary line:
