@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-engine bench-obs bench-churn bench-goal bench-smoke fuzz-smoke bench-serve wirebench-test
+.PHONY: all build test race race-hot race-obs vet lint lint-vet lint-audit verify bench-record bench-smoke fuzz-smoke bench-serve wirebench-test
 
 all: verify
 
@@ -34,8 +34,11 @@ lint:
 	$(GO) run ./cmd/wdmlint ./...
 
 # Same suite driven by `go vet -vettool`, which gives per-package result
-# caching and vet's diagnostic plumbing. Functionally equivalent to
-# `lint`; kept separate so CI can choose either entry point.
+# caching and vet's diagnostic plumbing. Not equivalent to `lint`: vet
+# runs one package per process, so callee summaries from other packages
+# fall back to the analyzers' conservative defaults and metric-name
+# uniqueness is checked only within each package. `lint` is the
+# complete run; this is the cached one.
 lint-vet:
 	$(GO) build -o bin/wdmlint ./cmd/wdmlint
 	$(GO) vet -vettool=bin/wdmlint ./...
@@ -57,19 +60,11 @@ verify: build vet test race-hot race
 wirebench-test:
 	cd wirebench && $(GO) vet ./... && $(GO) test ./...
 
-# Regenerate the committed engine benchmark record and gate the cache's
-# reason to exist: cached/uncached speedup >= 50x, hit rate >= 0.9.
-bench-engine:
-	./scripts/bench_engine.sh
-
-# Regenerate the committed telemetry overhead record (tracer off/on,
-# flight recorder on and background sampler on vs the uninstrumented
-# core route) and gate the always-on contracts: tracer-off overhead
-# <= 1% of baseline, sampler-on overhead <= 1% of sampler-off, zero
-# allocations on the recorder-off spanned path and on the cached
-# RouteFrom path with sampling enabled.
-bench-obs:
-	./scripts/bench_obs.sh
+# Regenerate the committed in-process benchmark records
+# (BENCH_{engine,obs,churn,goal}.json) and gate each one's claim; the
+# bounds are constants in internal/bench next to each record's Gate.
+bench-record:
+	$(GO) run ./cmd/wdmbench -record engine,obs,churn,goal
 
 # Focused race pass over the span-tracing/self-observation layer and
 # its TCP consumer — the flight recorder's and metric history's
@@ -79,19 +74,6 @@ bench-obs:
 # twice to vary goroutine interleavings.
 race-obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/serve
-
-# Regenerate the committed churn record (epoch publication latency with
-# incremental delta maintenance vs full recompiles, DESIGN.md §10) and
-# gate the delta path: every tier's speedup >= 2x.
-bench-churn:
-	./scripts/bench_churn.sh
-
-# Regenerate the committed goal-directed search record (bidirectional
-# Dijkstra and ALT vs plain goal-set Dijkstra across topology tiers) and
-# gate the settled-node reduction claim: bidi must settle at most half
-# the plain search's nodes on the largest tier.
-bench-goal:
-	./scripts/bench_goal.sh
 
 # Fast benchmark smoke pass for CI: runs the route / mutation / Dijkstra
 # benchmarks briefly with -benchmem so an accidental allocation or a

@@ -5,21 +5,27 @@
 // bounds and the adjacency-matrix erratum. See EXPERIMENTS.md for the
 // recorded outputs.
 //
+// -record regenerates the committed in-process benchmark records
+// (BENCH_engine.json, BENCH_obs.json, BENCH_churn.json,
+// BENCH_goal.json) in the working directory at fixed settings and
+// exits non-zero if any record misses its gate.
+//
 // Usage:
 //
 //	wdmbench                       # run everything at full scale
 //	wdmbench -experiment compare   # one experiment
 //	wdmbench -scale 0.25 -reps 1   # quick pass
 //	wdmbench -list
-//	wdmbench -experiment engine -engine-json BENCH_engine.json
-//	wdmbench -experiment "" -goal-json BENCH_goal.json
+//	wdmbench -record engine,obs,churn,goal
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"lightpath/internal/bench"
 )
@@ -38,17 +44,18 @@ func run(args []string, w io.Writer) error {
 	reps := fs.Int("reps", 3, "timing repetitions per point (median kept)")
 	seed := fs.Int64("seed", 1998, "instance generation seed")
 	format := fs.String("format", "text", "table output format: text|csv")
-	engineJSON := fs.String("engine-json", "",
-		"write the engine benchmark as machine-readable JSON to this path (e.g. BENCH_engine.json)")
-	obsJSON := fs.String("obs-json", "",
-		"write the telemetry overhead benchmark as machine-readable JSON to this path (e.g. BENCH_obs.json)")
-	churnJSON := fs.String("churn-json", "",
-		"write the churn (delta vs full rebuild) benchmark as machine-readable JSON to this path (e.g. BENCH_churn.json)")
-	goalJSON := fs.String("goal-json", "",
-		"write the goal-directed search benchmark as machine-readable JSON to this path (e.g. BENCH_goal.json)")
+	record := fs.String("record", "",
+		"comma-separated records to regenerate as BENCH_<name>.json and gate ("+
+			strings.Join(bench.RecordNames(), ",")+"); takes no other flag")
 	list := fs.Bool("list", false, "list experiment names and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *record != "" {
+		if fs.NFlag() != 1 {
+			return errors.New("-record runs at fixed settings and takes no other flag")
+		}
+		return bench.WriteRecords(strings.Split(*record, ","), ".", w)
 	}
 	if *list {
 		for _, n := range bench.Names {
@@ -67,68 +74,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 	cfg := bench.Config{Seed: *seed, Scale: *scale, Reps: *reps}
-	if *engineJSON != "" {
-		report, err := bench.EngineReport(cfg)
-		if err != nil {
-			return fmt.Errorf("engine benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*engineJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *engineJSON, err)
-		}
-		fmt.Fprintf(w, "engine benchmark written to %s (speedup %.1fx, hit rate %.3f, %.0f epochs/sec)\n",
-			*engineJSON, report.Speedup, report.CacheHitRate, report.EpochsPerSec)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *obsJSON != "" {
-		report, err := bench.ObsReport(cfg)
-		if err != nil {
-			return fmt.Errorf("obs benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*obsJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *obsJSON, err)
-		}
-		fmt.Fprintf(w, "obs benchmark written to %s (tracer off %+.2f%%, recorder on %+.2f%%)\n",
-			*obsJSON, report.TracerOffOverheadPct, report.RecorderOnOverheadPct)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *churnJSON != "" {
-		report, err := bench.ChurnReport(cfg)
-		if err != nil {
-			return fmt.Errorf("churn benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*churnJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *churnJSON, err)
-		}
-		for _, tier := range report.Tiers {
-			fmt.Fprintf(w, "churn %s: delta %.1fx faster (mean %d ns vs %d ns, %d epochs)\n",
-				tier.Name, tier.Speedup, tier.DeltaMeanNs, tier.FullMeanNs, tier.Epochs)
-		}
-		fmt.Fprintf(w, "churn benchmark written to %s\n", *churnJSON)
-		if *experiment == "" {
-			return nil
-		}
-	}
-	if *goalJSON != "" {
-		report, err := bench.GoalReport(cfg)
-		if err != nil {
-			return fmt.Errorf("goal benchmark: %w", err)
-		}
-		if err := report.WriteJSON(*goalJSON); err != nil {
-			return fmt.Errorf("write %s: %w", *goalJSON, err)
-		}
-		for _, tier := range report.Tiers {
-			fmt.Fprintf(w, "goal %s: settled reduction bidi %.2fx / alt %.2fx, speedup bidi %.2fx / alt %.2fx\n",
-				tier.Tier, tier.BidiSettledReduction, tier.AltSettledReduction, tier.BidiSpeedup, tier.AltSpeedup)
-		}
-		fmt.Fprintf(w, "goal benchmark written to %s\n", *goalJSON)
-		if *experiment == "" {
-			return nil
-		}
-	}
 	if *experiment == "all" {
 		return bench.RunAll(w, cfg)
 	}

@@ -64,3 +64,23 @@ func TestBenchCSVFormat(t *testing.T) {
 		t.Fatal("unknown format must fail")
 	}
 }
+
+// TestBenchRecordFixedSettings: -record measures at fixed settings, so
+// combining it with any other flag is an error, as is an unknown
+// record; neither runs a measurement.
+func TestBenchRecordFixedSettings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-record", "engine", "-experiment", "compare"},
+		{"-record", "engine", "-scale", "0.25"},
+		{"-record", "engine", "-reps", "1"},
+		{"-record", "warp"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Fatalf("%v must fail", args)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v produced output before failing:\n%s", args, out.String())
+		}
+	}
+}

@@ -1,12 +1,11 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"lightpath/internal/engine"
@@ -51,8 +50,8 @@ type ChurnTier struct {
 }
 
 // ChurnBenchResult is the machine-readable record of the churn benchmark
-// (written to BENCH_churn.json by cmd/wdmbench) tracking rebuild-path
-// performance across revisions.
+// (written to BENCH_churn.json by `wdmbench -record churn`) tracking
+// rebuild-path performance across revisions.
 type ChurnBenchResult struct {
 	Tiers       []ChurnTier `json:"tiers"`
 	GeneratedAt string      `json:"generated_at"`
@@ -187,38 +186,27 @@ func latencyStats(lat []time.Duration) (mean, p50, p99 int64, perSec float64) {
 	return mean, p50, p99, perSec
 }
 
-// WriteJSON records the result at path (pretty-printed, trailing
-// newline) for downstream tooling.
-func (r *ChurnBenchResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+// churnMinSpeedup gates the incremental path's reason to exist: a
+// delta apply must beat a full rebuild on every benchmarked topology
+// size, not just the largest — the committed figures run 9x-25x.
+const churnMinSpeedup = 2
+
+// Gate checks every tier's delta/full speedup.
+func (r *ChurnBenchResult) Gate() error {
+	if len(r.Tiers) == 0 {
+		return errors.New("no tiers recorded")
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	var errs []error
+	for _, t := range r.Tiers {
+		errs = append(errs, atLeast("tiers["+t.Name+"].speedup", t.Speedup, churnMinSpeedup))
+	}
+	return errors.Join(errs...)
 }
 
-// RunChurn (E20) benchmarks snapshot publication under churn: full
-// recompile per epoch vs incremental delta maintenance, across the
-// standard topology tiers.
-func RunChurn(w io.Writer, cfg Config) error {
-	r, err := ChurnReport(cfg)
-	if err != nil {
-		return err
+func (r *ChurnBenchResult) summary() string {
+	parts := make([]string, len(r.Tiers))
+	for i, t := range r.Tiers {
+		parts[i] = fmt.Sprintf("%s %.1fx", t.Name, t.Speedup)
 	}
-	t := &Table{
-		Title: "Engine — epoch publication: full recompile vs incremental delta",
-		Note: "same seeded allocate/release sequence per tier; delta mode includes its periodic\n" +
-			"depth-capped recompactions (cmd/wdmbench -churn-json writes this as BENCH_churn.json)",
-		Headers: []string{"tier", "nodes", "links", "k", "epochs",
-			"full mean", "full p99", "delta mean", "delta p99", "speedup", "delta/full pubs"},
-	}
-	for _, tier := range r.Tiers {
-		t.AddRow(tier.Name, tier.Nodes, tier.Links, tier.K, tier.Epochs,
-			time.Duration(tier.FullMeanNs), time.Duration(tier.FullP99Ns),
-			time.Duration(tier.DeltaMeanNs), time.Duration(tier.DeltaP99Ns),
-			fmt.Sprintf("%.1fx", tier.Speedup),
-			fmt.Sprintf("%d/%d", tier.DeltaApplies, tier.FullRebuilds))
-	}
-	t.render(w)
-	return nil
+	return "delta speedup " + strings.Join(parts, ", ")
 }

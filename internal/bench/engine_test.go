@@ -41,7 +41,7 @@ func TestEngineReportJSONRoundTrips(t *testing.T) {
 		GeneratedAt: "2026-08-06T00:00:00Z",
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := r.WriteJSON(path); err != nil {
+	if err := writeJSON(path, r); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

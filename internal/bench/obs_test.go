@@ -26,7 +26,7 @@ func TestObsReportMeasures(t *testing.T) {
 	// The zero-alloc contract of the disabled span path holds at any
 	// scale — this is the machine-checked half of the recorder-off
 	// acceptance gate (the other half, overhead %, is noise at test
-	// scale and gated by scripts/bench_obs.sh instead).
+	// scale and gated by the obs record's Gate instead).
 	if r.SpanAllocsOffPerOp != 0 {
 		t.Fatalf("recorder-off spanned RouteFrom allocates %v/op, want 0", r.SpanAllocsOffPerOp)
 	}
@@ -62,7 +62,7 @@ func TestObsReportJSONRoundTrips(t *testing.T) {
 		GeneratedAt: "2026-08-06T00:00:00Z",
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_obs.json")
-	if err := r.WriteJSON(path); err != nil {
+	if err := writeJSON(path, r); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

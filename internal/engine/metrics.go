@@ -18,12 +18,11 @@ import (
 type Metrics struct {
 	reg *obs.Registry
 
-	routeLatency         *obs.Histogram // engine_route_latency_ns
-	routeFromLatency     *obs.Histogram // engine_routefrom_latency_ns
-	batchLatency         *obs.Histogram // engine_batch_latency_ns (whole batch)
-	rebuildLatency       *obs.Histogram // engine_rebuild_latency_ns (full compiles)
-	deltaLatency         *obs.Histogram // engine_delta_latency_ns (incremental applies)
-	directedRouteLatency *obs.Histogram // engine_directed_route_latency_ns (bidi/ALT only)
+	routeLatency     *obs.Histogram // engine_route_latency_ns
+	routeFromLatency *obs.Histogram // engine_routefrom_latency_ns
+	batchLatency     *obs.Histogram // engine_batch_latency_ns (whole batch)
+	rebuildLatency   *obs.Histogram // engine_rebuild_latency_ns (full compiles)
+	deltaLatency     *obs.Histogram // engine_delta_latency_ns (incremental applies)
 
 	routes           *obs.Counter // engine_routes_total
 	routesBlocked    *obs.Counter // engine_routes_blocked_total
@@ -43,21 +42,20 @@ func newMetrics(e *Engine) *Metrics {
 	reg := obs.NewRegistry()
 	lat := obs.DefaultLatencyBuckets()
 	m := &Metrics{
-		reg:                  reg,
-		routeLatency:         reg.Histogram("engine_route_latency_ns", lat),
-		routeFromLatency:     reg.Histogram("engine_routefrom_latency_ns", lat),
-		batchLatency:         reg.Histogram("engine_batch_latency_ns", lat),
-		rebuildLatency:       reg.Histogram("engine_rebuild_latency_ns", lat),
-		deltaLatency:         reg.Histogram("engine_delta_latency_ns", lat),
-		directedRouteLatency: reg.Histogram("engine_directed_route_latency_ns", lat),
-		routes:               reg.Counter("engine_routes_total"),
-		routesBlocked:        reg.Counter("engine_routes_blocked_total"),
-		tracedRoutes:         reg.Counter("engine_traced_routes_total"),
-		allocRetries:         reg.Counter("engine_alloc_retries_total"),
-		batchRequests:        reg.Counter("engine_batch_requests_total"),
-		goalSettled:          reg.Counter("engine_goal_settled_total"),
-		landmarkRebuilds:     reg.Counter("engine_landmark_rebuilds_total"),
-		batchInFlight:        reg.Gauge("engine_batch_inflight"),
+		reg:              reg,
+		routeLatency:     reg.Histogram("engine_route_latency_ns", lat),
+		routeFromLatency: reg.Histogram("engine_routefrom_latency_ns", lat),
+		batchLatency:     reg.Histogram("engine_batch_latency_ns", lat),
+		rebuildLatency:   reg.Histogram("engine_rebuild_latency_ns", lat),
+		deltaLatency:     reg.Histogram("engine_delta_latency_ns", lat),
+		routes:           reg.Counter("engine_routes_total"),
+		routesBlocked:    reg.Counter("engine_routes_blocked_total"),
+		tracedRoutes:     reg.Counter("engine_traced_routes_total"),
+		allocRetries:     reg.Counter("engine_alloc_retries_total"),
+		batchRequests:    reg.Counter("engine_batch_requests_total"),
+		goalSettled:      reg.Counter("engine_goal_settled_total"),
+		landmarkRebuilds: reg.Counter("engine_landmark_rebuilds_total"),
+		batchInFlight:    reg.Gauge("engine_batch_inflight"),
 	}
 
 	reg.GaugeFunc("engine_epoch", func() float64 { return float64(e.Epoch()) })
@@ -118,15 +116,15 @@ func (m *Metrics) observeRoute(elapsed time.Duration, err error) {
 	}
 }
 
-// observeDirected records the goal-directed-only instruments: the
-// directed latency histogram plus the settled-node counter whose ratio
-// to engine_routes_total quantifies the search-space reduction. No-op
+// observeDirected records the settled-node counter whose ratio to
+// engine_routes_total quantifies the goal-directed search-space
+// reduction. Directed latency needs no instrument of its own: the mode
+// is fixed per engine, so engine_route_latency_ns already is it. No-op
 // for plain-mode snapshots so undirected engines pay nothing.
-func (m *Metrics) observeDirected(elapsed time.Duration, res *core.Result, mode core.DirectedMode) {
+func (m *Metrics) observeDirected(res *core.Result, mode core.DirectedMode) {
 	if mode == core.DirectedPlain {
 		return
 	}
-	m.directedRouteLatency.ObserveDuration(elapsed)
 	if res != nil {
 		m.goalSettled.Add(uint64(res.Stats.Settled))
 	}

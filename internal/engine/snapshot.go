@@ -68,7 +68,7 @@ func (s *Snapshot) queryOptions(sp *obs.Span) *core.Options {
 // Route finds an optimal semilightpath from src to dst over this
 // snapshot's residual capacity. Latency and the blocked/served outcome
 // land on the engine's route metrics; goal-directed queries additionally
-// feed the directed latency histogram and settled-node counter.
+// feed the settled-node counter.
 func (s *Snapshot) Route(src, dst int) (*core.Result, error) {
 	return s.RouteSpanned(src, dst, nil)
 }
@@ -84,7 +84,7 @@ func (s *Snapshot) RouteSpanned(src, dst int, parent *obs.Span) (*core.Result, e
 	res, err := s.aux.Route(src, dst, s.queryOptions(sp))
 	elapsed := time.Since(start)
 	s.eng.metrics.observeRoute(elapsed, err)
-	s.eng.metrics.observeDirected(elapsed, res, s.ropts.Directed)
+	s.eng.metrics.observeDirected(res, s.ropts.Directed)
 	sp.End()
 	return res, err
 }

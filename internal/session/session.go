@@ -82,7 +82,6 @@ type Manager struct {
 	active  map[ID]*Circuit
 	nextID  ID
 	queue   graph.QueueKind
-	stats   Stats
 	maxHeld int
 	rng     *rand.Rand // PolicyRandomFit's wavelength picker
 	// pairedBackup maps a protected primary to its backup circuit so
@@ -93,8 +92,9 @@ type Manager struct {
 // sessionTelemetry is the manager's slice of the engine's registry:
 // admission outcomes and latency, registered alongside the engine's own
 // metrics so one snapshot (and one /metrics endpoint) covers both
-// layers. The instruments mirror Stats but are atomics, so a debug
-// server can snapshot them while admissions run.
+// layers. The counters are the one record of admission outcomes —
+// Stats reads them — and are atomics, so a debug server can snapshot
+// them while admissions run.
 type sessionTelemetry struct {
 	admitLatency *obs.Histogram // session_admit_latency_ns (all policies, blocked included)
 	admitted     *obs.Counter   // session_admitted_total
@@ -113,17 +113,14 @@ func newSessionTelemetry(reg *obs.Registry) sessionTelemetry {
 	}
 }
 
-// noteBlocked records one blocked admission in both the legacy Stats
-// counter and the telemetry registry.
+// noteBlocked records one blocked admission.
 func (m *Manager) noteBlocked() {
-	m.stats.Blocked++
 	m.tele.blocked.Inc()
 }
 
 // noteReleased records one circuit teardown, however it happened
 // (Release, backup cascade, or fiber-cut survival promotion).
 func (m *Manager) noteReleased() {
-	m.stats.Released++
 	m.tele.released.Inc()
 	m.tele.active.Add(-1)
 }
@@ -160,11 +157,17 @@ func (m *Manager) SetQueue(kind graph.QueueKind) {
 	m.eng.SetQueue(kind)
 }
 
-// Stats returns the admission counters so far.
+// Stats returns the admission counters so far, read from the
+// session_* telemetry counters. The counters only move under m.mu, so
+// holding it here yields a consistent triple.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats
+	return Stats{
+		Admitted: int(m.tele.admitted.Value()),
+		Blocked:  int(m.tele.blocked.Value()),
+		Released: int(m.tele.released.Value()),
+	}
 }
 
 // ActiveCircuits reports the number of circuits currently holding
@@ -225,7 +228,6 @@ func (m *Manager) admitOptimal(s, t int) (*Circuit, error) {
 // holds under int64(c.ID).
 func (m *Manager) register(c *Circuit) {
 	m.active[c.ID] = c
-	m.stats.Admitted++
 	m.tele.admitted.Inc()
 	m.tele.active.Add(1)
 	if len(m.active) > m.maxHeld {
