@@ -48,6 +48,13 @@
 // are additionally retained in a separate slow log that fast traffic
 // cannot evict.
 //
+// Point queries (route, alloc, explain, protect) run bidirectional
+// Dijkstra by default (-directed bidi): it returns the optimal cost of
+// the paper's search while settling a fraction of the layered graph.
+// -directed plain selects the paper's Theorem 1 search, the only point
+// mode in which -queue picks the priority structure. routefrom trees
+// settle the whole graph with the -queue structure whatever the mode.
+//
 // explain and the trace on summaries are rendered from the same kind of
 // span tree: the query runs under a private tree that is recorded
 // whatever -recorder and -trace-sample say, and the reply reads the
@@ -107,8 +114,8 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 	var nf cli.NetFlags
 	nf.Register(fs)
 	queue := fs.String("queue", "binary", "dijkstra queue: fibonacci|binary|pairing|linear")
-	directed := fs.String("directed", "plain",
-		"point-query search strategy: plain|bidi|alt (alt maintains epoch-aware landmarks)")
+	directed := fs.String("directed", "bidi",
+		"point-query search strategy: bidi|plain|alt (plain is the paper's Theorem 1 search and honours -queue; alt maintains epoch-aware landmarks)")
 	cacheSize := fs.Int("cache", engine.DefaultCacheSize, "SourceTree cache capacity (<0 disables)")
 	workers := fs.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	script := fs.String("script", "", "read commands from this file instead of stdin")

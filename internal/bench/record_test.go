@@ -31,7 +31,13 @@ func churnAt(speedups ...float64) *ChurnBenchResult {
 }
 
 func goalTierAt(name string, nodes int, reduction float64) GoalTierResult {
-	return GoalTierResult{Tier: name, Nodes: nodes, BidiSettledReduction: reduction}
+	return GoalTierResult{Tier: name, Nodes: nodes, BidiSettledReduction: reduction, BidiSpeedup: 4}
+}
+
+func goalSpeedupAt(name string, nodes int, speedup float64) GoalTierResult {
+	tier := goalTierAt(name, nodes, 2)
+	tier.BidiSpeedup = speedup
+	return tier
 }
 
 func goalAt(tiers ...GoalTierResult) *GoalBenchResult { return &GoalBenchResult{Tiers: tiers} }
@@ -65,6 +71,10 @@ func TestRecordGates(t *testing.T) {
 			goalAt(goalTierAt("large", 300, 2), goalTierAt("small", 14, 1)),
 			goalAt(goalTierAt("large", 300, 1.99), goalTierAt("small", 14, 5)),
 			"tiers[large].bidi_settled_reduction", ">= 2"},
+		{"goal bidi speedup",
+			goalAt(goalSpeedupAt("large", 300, 4), goalSpeedupAt("small", 14, 1)),
+			goalAt(goalSpeedupAt("small", 14, 9), goalSpeedupAt("large", 300, 3.99)),
+			"tiers[large].bidi_speedup", ">= 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

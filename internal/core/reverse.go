@@ -35,10 +35,9 @@ func (a *Aux) ReverseGraph() *graph.Digraph {
 	if r := a.rev.Load(); r != nil {
 		return r
 	}
+	// Reverse builds the CSR form directly: the backward Dijkstra hot
+	// loop walks one contiguous arena, like the compacted forward graph.
 	r := a.g.Reverse()
-	// Same locality treatment the forward compile gets: the backward
-	// Dijkstra hot loop walks one contiguous arena.
-	r.Compact()
 	a.rev.Store(r)
 	return r
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sort"
 	"strconv"
-	"strings"
 
 	"lightpath/internal/graph"
 	"lightpath/internal/obs"
@@ -49,31 +47,39 @@ func ReadSearchSpan(sp *obs.Span) (st SearchStats, blocked bool) {
 // the span-attribute form of the search's expansion profile. Attribute
 // *names* must be compile-time constants, so the per-λ breakdown rides
 // in one string value rather than one attribute per wavelength. Only
-// called on the traced path; the map and builder allocations never
-// touch untraced queries.
+// called on the traced path. It counts over the nodes the search
+// reached (ShortestPathTree.ForEachReached) into a per-λ slab indexed
+// by wavelength, so its cost follows the search, not |V'|.
 func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree) string {
-	counts := make(map[int32]int)
-	for i := range a.info {
-		if a.info[i].Side == SideX && tree.Reached(i) {
-			counts[int32(a.info[i].Lambda)]++
-		}
+	var stack [64]int32 // k ≤ 64 counts on the stack, larger k on the heap
+	counts := stack[:]
+	if k := a.layout.K(); k <= len(counts) {
+		counts = counts[:k]
+	} else {
+		counts = make([]int32, k)
 	}
-	if len(counts) == 0 {
+	found := false
+	tree.ForEachReached(func(v int) {
+		if a.info[v].Side == SideX {
+			counts[a.info[v].Lambda]++
+			found = true
+		}
+	})
+	if !found {
 		return ""
 	}
-	lambdas := make([]int32, 0, len(counts))
-	for l := range counts {
-		lambdas = append(lambdas, l)
-	}
-	sort.Slice(lambdas, func(i, j int) bool { return lambdas[i] < lambdas[j] })
-	var b strings.Builder
-	for i, l := range lambdas {
-		if i > 0 {
-			b.WriteByte(',')
+	var buf [256]byte
+	b := buf[:0]
+	for l, c := range counts {
+		if c == 0 {
+			continue
 		}
-		b.WriteString(strconv.FormatInt(int64(l), 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(counts[l]))
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return b.String()
+	return string(b)
 }

@@ -83,7 +83,10 @@ type Options struct {
 	// Directed selects the point-query search strategy for all snapshots
 	// (core.DirectedPlain, core.DirectedBidi or core.DirectedALT). The
 	// zero value is plain — the paper's exhaustive-toward-the-goal-set
-	// search. DirectedALT additionally maintains landmark vectors across
+	// search — on purpose: library callers and the experiments get the
+	// Theorem 1 algorithm unless they ask otherwise, while wdmserve
+	// opts into DirectedBidi as its measured-fastest default.
+	// DirectedALT additionally maintains landmark vectors across
 	// epochs; while they are stale the engine degrades to bidirectional
 	// search and refreshes them off the query path.
 	Directed core.DirectedMode

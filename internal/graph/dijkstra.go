@@ -54,6 +54,42 @@ type ShortestPathTree struct {
 	Relaxed int     // number of arc relaxations attempted
 
 	seeds []int
+
+	// tracked is set on scratch-backed trees whose kernel lists, in
+	// touched, every node it gave a finite distance (first-reach order).
+	// Scratch resets and ForEachReached then cost O(touched), not O(n).
+	tracked bool
+	touched []int32
+}
+
+// reach records that v is now reached at distance d through arc i of u.
+// It is the one relaxation write the tracking kernels share, so a
+// tracked tree's touched list stays complete.
+func (t *ShortestPathTree) reach(v int, d float64, u, i int) {
+	if t.tracked && IsInf(t.Dist[v]) {
+		t.touched = append(t.touched, int32(v))
+	}
+	t.Dist[v] = d
+	t.Parent[v] = int32(u)
+	t.ViaArc[v] = int32(i)
+}
+
+// ForEachReached calls fn for every node with a finite distance: over
+// the touched list (first-reach order) when the tree tracks one, else
+// by scanning Dist in node order. Profiles of a point query's expansion
+// therefore cost what the search reached, not the graph size.
+func (t *ShortestPathTree) ForEachReached(fn func(v int)) {
+	if t.tracked {
+		for _, v := range t.touched {
+			fn(int(v))
+		}
+		return
+	}
+	for v, d := range t.Dist {
+		if Finite(d) {
+			fn(v)
+		}
+	}
 }
 
 // Reached reports whether v was reached from the source.
@@ -306,9 +342,7 @@ func dijkstraBinInto(g *Digraph, t *ShortestPathTree, stop func(int) bool, h *bi
 			t.Relaxed++
 			nd := du + a.Weight
 			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
+				t.reach(v, nd, u, i)
 				if _, err := h.PushOrDecrease(v, nd); err != nil {
 					return err
 				}

@@ -143,6 +143,13 @@ func BidirectionalDijkstraScratch(g, rev *Digraph, seeds, goals []int, scF, scB 
 		if !okF && !okB {
 			break
 		}
+		if IsInf(mu) && (!okF || !okB) {
+			// An exhausted frontier has reached everything it can. Had it
+			// reached any node the other side's terminals sit on, that
+			// relaxation would have set µ; with µ still ∞ no seed→goal
+			// path exists, so the live side need not run to exhaustion.
+			break
+		}
 		if Finite(mu) {
 			// Stopping rule: every undiscovered seed→goal path costs at
 			// least topF+topB (DESIGN.md §14), so once that bound reaches
@@ -187,10 +194,6 @@ func bidiSide(g *Digraph, seeds []int, sc *Scratch) (*ShortestPathTree, *binheap
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
-		}
 		h, done = sc.heap, sc.done
 	} else {
 		t, err = newSeedTree(g, seeds)
@@ -225,9 +228,7 @@ func bidiExpand(g *Digraph, mine, other *ShortestPathTree, h *binheap.Heap, done
 		mine.Relaxed++
 		nd := du + a.Weight
 		if nd < mine.Dist[v] {
-			mine.Dist[v] = nd
-			mine.Parent[v] = int32(u)
-			mine.ViaArc[v] = int32(i)
+			mine.reach(v, nd, u, i)
 			if _, err := h.PushOrDecrease(v, nd); err != nil {
 				return mu
 			}
@@ -280,10 +281,6 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 		t, err = sc.seedTree(seeds)
 		if err != nil {
 			return nil, err
-		}
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
 		}
 		h, done = sc.heap, sc.done
 		if len(goals) > 0 {
@@ -351,9 +348,7 @@ func AStarSeedsUntilScratch(g *Digraph, seeds, goals []int, pot func(int) float6
 				if IsInf(hv) {
 					continue // v provably cannot reach any goal
 				}
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
+				t.reach(v, nd, u, i)
 				if _, err := h.PushOrDecrease(v, nd+hv); err != nil {
 					return nil, err
 				}

@@ -453,10 +453,10 @@ func BenchmarkBidirectionalSparse(b *testing.B) {
 	g := benchGoalGraph(n)
 	rev := g.Reverse()
 	seeds, goals := []int{0}, []int{n / 2}
-	var scF, scB Scratch
+	scF, scB := NewScratch(n), NewScratch(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := BidirectionalDijkstraScratch(g, rev, seeds, goals, &scF, &scB); err != nil {
+		if _, err := BidirectionalDijkstraScratch(g, rev, seeds, goals, scF, scB); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -466,10 +466,10 @@ func BenchmarkAStarSparse(b *testing.B) {
 	const n = 2000
 	g := benchGoalGraph(n)
 	seeds, goals := []int{0}, []int{n / 2}
-	var sc Scratch
+	sc := NewScratch(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := AStarSeedsUntilScratch(g, seeds, goals, ZeroPotential, &sc); err != nil {
+		if _, err := AStarSeedsUntilScratch(g, seeds, goals, ZeroPotential, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

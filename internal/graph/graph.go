@@ -42,10 +42,11 @@ var (
 
 // Arc is a directed edge with a weight and an opaque payload Tag that
 // callers use to map auxiliary-graph arcs back to their origin (a physical
-// link + wavelength, or a conversion at a node).
+// link + wavelength, or a conversion at a node). Weight comes first so the
+// two int32 fields pack behind it: 16 bytes per arc, not 24 with padding.
 type Arc struct {
-	To     int32
 	Weight float64
+	To     int32
 	Tag    int32
 }
 
@@ -201,13 +202,34 @@ func (g *Digraph) Compact() {
 	}
 }
 
-// Reverse returns a new graph with every arc direction flipped.
+// Reverse returns a new graph with every arc direction flipped, already
+// in compacted (CSR) form: one counting pass sizes each reversed segment,
+// and one fill pass over the sources in ascending order writes them into
+// a single arena. Each reversed segment therefore lists its arcs by
+// ascending source node, and parallel arcs keep their forward order.
 func (g *Digraph) Reverse() *Digraph {
-	r := New(len(g.adj))
+	n := len(g.adj)
+	// start[v+1] counts v's in-arcs; the prefix sum turns it into the
+	// offset of v's reversed segment.
+	start := make([]int, n+1)
+	for _, arcs := range g.adj {
+		for _, a := range arcs {
+			start[a.To+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	arena := make([]Arc, start[n])
+	r := &Digraph{adj: make([][]Arc, n), arcs: start[n]}
+	for v := range r.adj {
+		// Empty and capped at its end: filled below by appending, and a
+		// later AddArc reallocates rather than bleeding into v+1.
+		r.adj[v] = arena[start[v]:start[v]:start[v+1]]
+	}
 	for u, arcs := range g.adj {
 		for _, a := range arcs {
 			r.adj[a.To] = append(r.adj[a.To], Arc{To: int32(u), Weight: a.Weight, Tag: a.Tag})
-			r.arcs++
 		}
 	}
 	return r

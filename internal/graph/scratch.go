@@ -13,6 +13,13 @@ import (
 // size) so a steady stream of point queries performs zero heap
 // allocation inside the search.
 //
+// Resetting between queries costs what the last query touched, not n:
+// the scratch-backed tree lists every node it gave a finite distance,
+// and only those entries are restored. A kernel that writes the tree
+// without listing its touches (the pointer-heap queues behind runEngine)
+// marks the scratch dirty instead, and the next query pays one full
+// O(n) reset.
+//
 // A Scratch serves one query at a time; the tree returned by
 // DijkstraSeedsUntilScratch aliases the scratch and is invalidated by
 // the next query on the same scratch. It is not safe for concurrent
@@ -24,6 +31,7 @@ type Scratch struct {
 	via    []int32
 	done   []bool
 	heap   *binheap.Heap
+	dirty  bool // the last query's touches are not all in tree.touched
 
 	goalMark []bool
 	pending  int
@@ -42,6 +50,7 @@ func NewScratch(n int) *Scratch {
 		done:     make([]bool, n),
 		heap:     binheap.New(n),
 		goalMark: make([]bool, n),
+		dirty:    true, // arrays start zeroed, not reset
 	}
 	// Built once so per-query goal tracking allocates no closure.
 	sc.stop = func(u int) bool {
@@ -57,8 +66,34 @@ func NewScratch(n int) *Scratch {
 // Nodes reports the graph size this scratch serves.
 func (sc *Scratch) Nodes() int { return sc.n }
 
+// reset restores dist/parent/via/done to the unreached state: only the
+// entries the previous query touched, or all of them after an
+// untracked kernel ran.
+func (sc *Scratch) reset() {
+	if sc.dirty {
+		for i := range sc.dist {
+			sc.dist[i] = Inf
+			sc.parent[i] = -1
+			sc.via[i] = -1
+			sc.done[i] = false
+		}
+		sc.dirty = false
+	} else {
+		for _, v := range sc.tree.touched {
+			sc.dist[v] = Inf
+			sc.parent[v] = -1
+			sc.via[v] = -1
+			sc.done[v] = false
+		}
+	}
+	sc.tree.touched = sc.tree.touched[:0]
+	sc.heap.Reset()
+}
+
 // seedTree initializes the scratch-backed tree for the given seeds,
-// mirroring newSeedTree without allocating.
+// mirroring newSeedTree without allocating. The tree starts tracked:
+// kernels that record their touches through ShortestPathTree.reach keep
+// it so.
 func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrNodeRange)
@@ -68,6 +103,7 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 			return nil, fmt.Errorf("%w: seed %d", ErrNodeRange, s)
 		}
 	}
+	sc.reset()
 	t := &sc.tree
 	t.Source = -1
 	if len(seeds) == 1 {
@@ -76,12 +112,11 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	t.Dist, t.Parent, t.ViaArc = sc.dist, sc.parent, sc.via
 	t.Settled, t.Relaxed = 0, 0
 	t.seeds = seeds
-	for i := range sc.dist {
-		sc.dist[i] = Inf
-		sc.parent[i] = -1
-		sc.via[i] = -1
-	}
+	t.tracked = true
 	for _, s := range seeds {
+		if IsInf(sc.dist[s]) {
+			t.touched = append(t.touched, int32(s))
+		}
 		sc.dist[s] = 0
 	}
 	return t, nil
@@ -94,9 +129,10 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 // wrong-sized scratch falls back to the allocating path, so callers can
 // pass through whatever their pool handed them.
 //
-// The binary queue reuses the scratch's heap and settled set; the other
-// queue kinds reuse the tree arrays but keep their own pointer-based
-// structures (their handle graphs cannot be recycled flatly).
+// The binary queue reuses the scratch's heap and settled set and tracks
+// its touches; the other queue kinds reuse the tree arrays but keep
+// their own pointer-based structures (their handle graphs cannot be
+// recycled flatly) and leave the scratch dirty.
 func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch) (*ShortestPathTree, error) {
 	if sc == nil || sc.n != g.NumNodes() {
 		return DijkstraSeedsUntil(g, seeds, goals, kind)
@@ -123,12 +159,11 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 	}
 	switch kind {
 	case QueueBinary:
-		sc.heap.Reset()
-		for i := range sc.done {
-			sc.done[i] = false
-		}
 		err = dijkstraBinInto(g, t, stop, sc.heap, sc.done)
 	default:
+		// These kernels write the tree without listing their touches:
+		// it falls back to Dist scans, and the next query resets fully.
+		t.tracked, sc.dirty = false, true
 		err = runEngine(g, t, stop, kind)
 	}
 	// An exhausted search (unreachable goals) leaves marks set; clear
