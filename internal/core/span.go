@@ -51,13 +51,7 @@ func ReadSearchSpan(sp *obs.Span) (st SearchStats, blocked bool) {
 // reached (ShortestPathTree.ForEachReached) into a per-λ slab indexed
 // by wavelength, so its cost follows the search, not |V'|.
 func (a *Aux) reachedPerLambda(tree *graph.ShortestPathTree) string {
-	var stack [64]int32 // k ≤ 64 counts on the stack, larger k on the heap
-	counts := stack[:]
-	if k := a.layout.K(); k <= len(counts) {
-		counts = counts[:k]
-	} else {
-		counts = make([]int32, k)
-	}
+	counts := make([]int32, a.layout.K())
 	found := false
 	tree.ForEachReached(func(v int) {
 		if a.info[v].Side == SideX {

@@ -253,9 +253,7 @@ func dijkstraPairing(g *Digraph, t *ShortestPathTree, stop func(int) bool) error
 			t.Relaxed++
 			nd := du + a.Weight
 			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
+				t.reach(v, nd, u, i)
 				if handles[v] == nil {
 					handles[v] = h.Insert(nd, int64(v))
 				} else if err := h.DecreaseKey(handles[v], nd); err != nil {
@@ -297,9 +295,7 @@ func dijkstraFib(g *Digraph, t *ShortestPathTree, stop func(int) bool) error {
 			t.Relaxed++
 			nd := du + a.Weight
 			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
+				t.reach(v, nd, u, i)
 				if handles[v] == nil {
 					handles[v] = h.Insert(nd, int64(v))
 				} else if err := h.DecreaseKey(handles[v], nd); err != nil {
@@ -376,9 +372,7 @@ func dijkstraLinear(g *Digraph, t *ShortestPathTree, stop func(int) bool) error 
 			t.Relaxed++
 			nd := du + a.Weight
 			if nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Parent[v] = int32(u)
-				t.ViaArc[v] = int32(i)
+				t.reach(v, nd, u, i)
 				q.PushOrDecrease(v, nd)
 			}
 		}

@@ -208,24 +208,15 @@ func (g *Digraph) Compact() {
 // a single arena. Each reversed segment therefore lists its arcs by
 // ascending source node, and parallel arcs keep their forward order.
 func (g *Digraph) Reverse() *Digraph {
-	n := len(g.adj)
-	// start[v+1] counts v's in-arcs; the prefix sum turns it into the
-	// offset of v's reversed segment.
-	start := make([]int, n+1)
-	for _, arcs := range g.adj {
-		for _, a := range arcs {
-			start[a.To+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
-	}
-	arena := make([]Arc, start[n])
-	r := &Digraph{adj: make([][]Arc, n), arcs: start[n]}
+	in := g.InDegrees()
+	arena := make([]Arc, g.arcs)
+	r := &Digraph{adj: make([][]Arc, len(g.adj)), arcs: g.arcs}
+	off := 0
 	for v := range r.adj {
 		// Empty and capped at its end: filled below by appending, and a
 		// later AddArc reallocates rather than bleeding into v+1.
-		r.adj[v] = arena[start[v]:start[v]:start[v+1]]
+		r.adj[v] = arena[off : off : off+in[v]]
+		off += in[v]
 	}
 	for u, arcs := range g.adj {
 		for _, a := range arcs {

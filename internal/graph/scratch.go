@@ -14,11 +14,9 @@ import (
 // allocation inside the search.
 //
 // Resetting between queries costs what the last query touched, not n:
-// the scratch-backed tree lists every node it gave a finite distance,
-// and only those entries are restored. A kernel that writes the tree
-// without listing its touches (the pointer-heap queues behind runEngine)
-// marks the scratch dirty instead, and the next query pays one full
-// O(n) reset.
+// every kernel writes the scratch-backed tree through
+// ShortestPathTree.reach, which lists each node it gives a finite
+// distance, and only those entries are restored.
 //
 // A Scratch serves one query at a time; the tree returned by
 // DijkstraSeedsUntilScratch aliases the scratch and is invalidated by
@@ -31,7 +29,6 @@ type Scratch struct {
 	via    []int32
 	done   []bool
 	heap   *binheap.Heap
-	dirty  bool // the last query's touches are not all in tree.touched
 
 	goalMark []bool
 	pending  int
@@ -50,7 +47,13 @@ func NewScratch(n int) *Scratch {
 		done:     make([]bool, n),
 		heap:     binheap.New(n),
 		goalMark: make([]bool, n),
-		dirty:    true, // arrays start zeroed, not reset
+	}
+	// Start in the unreached state; from here on reset only restores
+	// what each query touched.
+	for i := range sc.dist {
+		sc.dist[i] = Inf
+		sc.parent[i] = -1
+		sc.via[i] = -1
 	}
 	// Built once so per-query goal tracking allocates no closure.
 	sc.stop = func(u int) bool {
@@ -66,34 +69,22 @@ func NewScratch(n int) *Scratch {
 // Nodes reports the graph size this scratch serves.
 func (sc *Scratch) Nodes() int { return sc.n }
 
-// reset restores dist/parent/via/done to the unreached state: only the
-// entries the previous query touched, or all of them after an
-// untracked kernel ran.
+// reset restores dist/parent/via/done to the unreached state by
+// undoing only the entries the previous query touched.
 func (sc *Scratch) reset() {
-	if sc.dirty {
-		for i := range sc.dist {
-			sc.dist[i] = Inf
-			sc.parent[i] = -1
-			sc.via[i] = -1
-			sc.done[i] = false
-		}
-		sc.dirty = false
-	} else {
-		for _, v := range sc.tree.touched {
-			sc.dist[v] = Inf
-			sc.parent[v] = -1
-			sc.via[v] = -1
-			sc.done[v] = false
-		}
+	for _, v := range sc.tree.touched {
+		sc.dist[v] = Inf
+		sc.parent[v] = -1
+		sc.via[v] = -1
+		sc.done[v] = false
 	}
 	sc.tree.touched = sc.tree.touched[:0]
 	sc.heap.Reset()
 }
 
 // seedTree initializes the scratch-backed tree for the given seeds,
-// mirroring newSeedTree without allocating. The tree starts tracked:
-// kernels that record their touches through ShortestPathTree.reach keep
-// it so.
+// mirroring newSeedTree without allocating. The tree is tracked: every
+// kernel records its touches through ShortestPathTree.reach.
 func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrNodeRange)
@@ -129,10 +120,10 @@ func (sc *Scratch) seedTree(seeds []int) (*ShortestPathTree, error) {
 // wrong-sized scratch falls back to the allocating path, so callers can
 // pass through whatever their pool handed them.
 //
-// The binary queue reuses the scratch's heap and settled set and tracks
-// its touches; the other queue kinds reuse the tree arrays but keep
-// their own pointer-based structures (their handle graphs cannot be
-// recycled flatly) and leave the scratch dirty.
+// The binary queue reuses the scratch's heap and settled set; the other
+// queue kinds reuse the tree arrays but keep their own pointer-based
+// structures (their handle graphs cannot be recycled flatly). All of
+// them list their touches, so the next reset stays O(touched).
 func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, sc *Scratch) (*ShortestPathTree, error) {
 	if sc == nil || sc.n != g.NumNodes() {
 		return DijkstraSeedsUntil(g, seeds, goals, kind)
@@ -161,9 +152,6 @@ func DijkstraSeedsUntilScratch(g *Digraph, seeds, goals []int, kind QueueKind, s
 	case QueueBinary:
 		err = dijkstraBinInto(g, t, stop, sc.heap, sc.done)
 	default:
-		// These kernels write the tree without listing their touches:
-		// it falls back to Dist scans, and the next query resets fully.
-		t.tracked, sc.dirty = false, true
 		err = runEngine(g, t, stop, kind)
 	}
 	// An exhausted search (unreachable goals) leaves marks set; clear

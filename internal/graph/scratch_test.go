@@ -27,11 +27,11 @@ func sameTree(t *testing.T, label string, got, want *ShortestPathTree) {
 }
 
 // TestPooledScratchKernelSequence runs the four scratch kernels — bidi,
-// binary plain, Fibonacci plain (untracked, so it leaves the scratch
-// dirty) and A* — in a shuffled order on one pooled forward scratch.
-// Every tree must equal the tree the same kernel computes on a fresh
-// scratch: a touched-list reset that misses an entry, or a dirty flag
-// that is not honoured, leaves stale state in the pooled arrays.
+// binary plain, Fibonacci plain (a pointer-heap queue) and A* — in a
+// shuffled order on one pooled forward scratch. Every tree must equal
+// the tree the same kernel computes on a fresh scratch: a kernel that
+// writes a node without listing it, or a touched-list reset that misses
+// an entry, leaves stale state in the pooled arrays.
 func TestPooledScratchKernelSequence(t *testing.T) {
 	const n = 120
 	g := buildRandom(t, n, 480, 21)
@@ -91,17 +91,17 @@ func TestPooledScratchKernelSequence(t *testing.T) {
 }
 
 // TestForEachReachedVisitsFiniteDist: ForEachReached visits each node
-// with a finite distance exactly once, and no other node, on a tracked
-// scratch-backed tree (touched list), on an untracked one (a Fibonacci
-// run on a scratch) and on a freshly allocated tree (Dist scan).
+// with a finite distance exactly once, and no other node, on
+// scratch-backed trees (touched list) from the binary, Fibonacci and A*
+// kernels, and on freshly allocated trees (Dist scan).
 func TestForEachReachedVisitsFiniteDist(t *testing.T) {
 	const n = 150
 	g := buildRandom(t, n, 300, 23)
 	sc := NewScratch(n)
 	seeds, goals := []int{0, 7}, []int{90}
 	trees := map[string]func() (*ShortestPathTree, error){
-		"tracked scratch": func() (*ShortestPathTree, error) { return DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc) },
-		"untracked scratch": func() (*ShortestPathTree, error) {
+		"binary scratch": func() (*ShortestPathTree, error) { return DijkstraSeedsUntilScratch(g, seeds, goals, QueueBinary, sc) },
+		"fibonacci scratch": func() (*ShortestPathTree, error) {
 			return DijkstraSeedsUntilScratch(g, seeds, goals, QueueFibonacci, sc)
 		},
 		"astar scratch": func() (*ShortestPathTree, error) {
